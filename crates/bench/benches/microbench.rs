@@ -99,6 +99,23 @@ fn flow_table_ops(c: &mut Criterion) {
             black_box(ft.classify(t, 64));
         });
     });
+    // One op = a 32-frame same-tuple run (an RX burst), classified with
+    // one index lookup and the 31 repeats folded into memo-hit deltas.
+    c.bench_function("flow_table/classify_run", |b| {
+        let mut ft = FlowTable::new();
+        let tuples: Vec<FiveTuple> = (0..64)
+            .map(|i| FiveTuple::synthetic(i, Proto::Udp))
+            .collect();
+        for t in &tuples {
+            ft.install(*t, ChainId(0));
+        }
+        let mut i = 0;
+        b.iter(|| {
+            let t = &tuples[i % 64];
+            i += 1;
+            black_box(ft.classify_run(t, 32, 32 * 64));
+        });
+    });
 }
 
 fn histogram_ops(c: &mut Criterion) {

@@ -588,6 +588,37 @@ impl FlowTable {
         Some((flow, chain))
     }
 
+    /// Classify a run of `n >= 1` back-to-back frames of one tuple
+    /// carrying `bytes` in total. Exactly equivalent to `n` consecutive
+    /// [`FlowTable::classify`] calls: the first frame takes the normal
+    /// path (memo, index, or wildcard install), which leaves the memo
+    /// armed on the flow, so each of the `n - 1` repeats would be a memo
+    /// hit — they are folded into one delta on the hit counters and the
+    /// flow's packet/byte counters. Unmatched tuples re-probe per frame,
+    /// as the repeated calls would (the probe counters see every frame).
+    pub fn classify_run(
+        &mut self,
+        tuple: &FiveTuple,
+        n: u32,
+        bytes: u64,
+    ) -> Option<(FlowId, ChainId)> {
+        debug_assert!(n >= 1, "empty run");
+        let Some((flow, chain)) = self.classify(tuple, 0) else {
+            for _ in 1..n {
+                self.classify(tuple, 0);
+            }
+            return None;
+        };
+        let repeats = u64::from(n - 1);
+        self.stats.exact_hits += repeats;
+        self.stats.memo_hits += repeats;
+        let c = &mut self.cold[flow.index()];
+        c.packets += repeats;
+        c.bytes += bytes;
+        self.classified_packets += repeats;
+        Some((flow, chain))
+    }
+
     /// Advance the aging epoch and evict wildcard-learned entries idle
     /// for more than `idle_epochs` completed epochs, appending their ids
     /// (ascending) to `evicted`. Pinned entries always survive. The scan
@@ -957,6 +988,42 @@ mod tests {
         let memo_before = ft.stats().memo_hits;
         ft.classify(&other, 64).unwrap();
         assert_eq!(ft.stats().memo_hits, memo_before + 1);
+    }
+
+    #[test]
+    fn classify_run_folds_repeats_into_memo_hits() {
+        let mut run = aging_table(FlowTableKind::default_kind());
+        let mut each = aging_table(FlowTableKind::default_kind());
+        let t = FiveTuple::synthetic(1, Proto::Udp);
+        // Learn the flow and arm the memo, then evict it under the memo:
+        // the run's first frame must re-learn through the wildcard.
+        for ft in [&mut run, &mut each] {
+            ft.classify(&t, 64).unwrap();
+            let mut ev = Vec::new();
+            ft.age(1, &mut ev);
+            ft.age(1, &mut ev);
+            assert_eq!(ev.len(), 1);
+        }
+        let r = run.classify_run(&t, 5, 5 * 64);
+        for _ in 0..5 {
+            assert_eq!(each.classify(&t, 64), r);
+        }
+        assert_eq!(run.stats(), each.stats());
+        assert_eq!(run.stats().memo_hits, 4);
+        assert_eq!(run.get(&t).unwrap().packets, 5);
+        assert_eq!(run.get(&t).unwrap().bytes, 320);
+        assert_eq!(run.classified_packets(), each.classified_packets());
+
+        // An unmatched run probes once per frame, like repeated calls.
+        let miss = FiveTuple {
+            src_ip: 0x0b00_0001, // outside the wildcard's 10/8
+            ..t
+        };
+        assert_eq!(run.classify_run(&miss, 3, 3 * 64), None);
+        for _ in 0..3 {
+            assert_eq!(each.classify(&miss, 64), None);
+        }
+        assert_eq!(run.stats(), each.stats());
     }
 
     #[test]

@@ -109,12 +109,14 @@ impl ModelTable {
     }
 }
 
-/// One step of the interleaved churn script.
+/// One step of the interleaved churn script (`ClassifyRun` is `len`
+/// back-to-back frames of one tuple).
 #[derive(Debug, Clone)]
 enum FtOp {
     Install { n: u16, chain: u8 },
     InstallWildcard { chain: u8, priority: i32 },
     Classify { n: u16 },
+    ClassifyRun { n: u16, len: u32 },
     Age { idle_epochs: u32 },
 }
 
@@ -131,8 +133,19 @@ fn ft_op() -> impl Strategy<Value = FtOp> {
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
+        (0u16..48).prop_map(|n| FtOp::ClassifyRun { n, len: 1 }),
+        (0u16..48, 1u32..65).prop_map(|(n, len)| FtOp::ClassifyRun { n, len }),
         (1u32..3).prop_map(|idle_epochs| FtOp::Age { idle_epochs }),
     ]
+}
+
+/// Tuple for the run-vs-repeat script: a 16-tuple space (so runs often
+/// hit the memo'd flow, or one just evicted), whose top quarter is TCP —
+/// unmatched by the script's UDP-only wildcard rules unless installed
+/// exactly, so runs of unclassified frames occur.
+fn run_tuple(n: u16) -> FiveTuple {
+    let n = (n % 16) as u32;
+    FiveTuple::synthetic(n, if n >= 12 { Proto::Tcp } else { Proto::Udp })
 }
 
 proptest! {
@@ -256,6 +269,16 @@ proptest! {
                     prop_assert_eq!(rs, rf);
                     prop_assert_eq!(rs, rm);
                 }
+                FtOp::ClassifyRun { n, len } => {
+                    let t = FiveTuple::synthetic(n as u32, Proto::Udp);
+                    let rs = sharded.classify_run(&t, len, 64 * len as u64);
+                    for _ in 0..len {
+                        let rf = flat.classify(&t, 64);
+                        let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
+                        prop_assert_eq!(rs, rf);
+                        prop_assert_eq!(rs, rm);
+                    }
+                }
                 FtOp::Age { idle_epochs } => {
                     scratch_s.clear();
                     scratch_f.clear();
@@ -293,6 +316,60 @@ proptest! {
         let live_sum: u64 = sharded.entries().map(|e| e.packets).sum();
         prop_assert_eq!(sharded.classified_packets(), live_sum + model.forgotten_packets);
         prop_assert_eq!(flat.classified_packets(), sharded.classified_packets());
+    }
+
+    /// `classify_run(t, len, bytes)` on one table and `len` back-to-back
+    /// `classify(t, ..)` calls on a twin return the same result and leave
+    /// identical state — every internal counter (memo/exact/wildcard
+    /// hits, probe steps, installs, recycles), every live entry and the
+    /// conservation totals — under interleaved installs, aging, id
+    /// recycling and unclassified runs. Frame sizes vary within a run.
+    #[test]
+    fn classify_run_matches_repeated_classify(
+        script in prop::collection::vec(ft_op(), 1..400),
+    ) {
+        let mut run = FlowTable::new();
+        let mut twin = FlowTable::new();
+        let (mut ev_run, mut ev_twin) = (Vec::new(), Vec::new());
+        for (step, op) in script.into_iter().enumerate() {
+            match op {
+                FtOp::Install { n, chain } => {
+                    let c = ChainId(chain as u32);
+                    prop_assert_eq!(run.install(run_tuple(n), c), twin.install(run_tuple(n), c));
+                }
+                FtOp::InstallWildcard { chain, priority } => {
+                    let udp = TuplePattern::any().proto(Proto::Udp);
+                    run.install_wildcard(udp, ChainId(chain as u32), priority);
+                    twin.install_wildcard(udp, ChainId(chain as u32), priority);
+                }
+                FtOp::Classify { n } => {
+                    let t = run_tuple(n);
+                    prop_assert_eq!(run.classify(&t, 64), twin.classify(&t, 64));
+                }
+                FtOp::ClassifyRun { n, len } => {
+                    let t = run_tuple(n);
+                    let size = |i: u32| 64 + (step as u32 + i) % 1437;
+                    let bytes: u64 = (0..len).map(|i| size(i) as u64).sum();
+                    let r = run.classify_run(&t, len, bytes);
+                    for i in 0..len {
+                        prop_assert_eq!(twin.classify(&t, size(i)), r);
+                    }
+                }
+                FtOp::Age { idle_epochs } => {
+                    ev_run.clear();
+                    ev_twin.clear();
+                    run.age(idle_epochs, &mut ev_run);
+                    twin.age(idle_epochs, &mut ev_twin);
+                    prop_assert_eq!(&ev_run, &ev_twin);
+                }
+            }
+            prop_assert_eq!(run.stats(), twin.stats());
+            prop_assert!(run.entries().eq(twin.entries()));
+            prop_assert_eq!(run.classified_packets(), twin.classified_packets());
+            prop_assert_eq!(run.forgotten_packets(), twin.forgotten_packets());
+            prop_assert_eq!(run.forgotten_bytes(), twin.forgotten_bytes());
+        }
+        prop_assert_eq!(run.id_space(), twin.id_space());
     }
 
     /// Watermark comparison is exact integer arithmetic at all fill levels.

@@ -32,6 +32,13 @@ use std::collections::BTreeSet;
 /// not punished for its sibling's queue. Without replicas every
 /// instance is on every path and the hook degenerates to the classic
 /// per-chain check.
+///
+/// Admission is decided once per same-tuple *run* of frames, not once
+/// per frame: the verdict applies to every frame of the run, and a poll
+/// may consult the hook again for the same flow in a later run. The hook
+/// must therefore be side-effect-free — a pure function of state that
+/// only other events mutate — so that the number of calls cannot change
+/// the outcome.
 pub type AdmitFn<'a> = dyn FnMut(ChainId, FlowId, &mut dyn FnMut(NfId) -> bool) -> bool + 'a;
 
 /// Static platform configuration.
@@ -156,7 +163,7 @@ pub struct Platform {
     trivial_handler: Vec<bool>,
     tcp_flows: BTreeSet<FlowId>,
     scratch_frames: Vec<WireFrame>,
-    /// Number of NFs currently `Down` — lets the per-frame dead-chain
+    /// Number of NFs currently `Down` — lets the per-run dead-chain
     /// check in `rx_poll` short-circuit to nothing in fault-free runs.
     down_nfs: usize,
     /// Live replica instances per base NF, in spawn order. Chains always
@@ -316,81 +323,100 @@ impl Platform {
     /// enqueue to each chain's first NF (see [`AdmitFn`] for the
     /// admission hook contract). TCP congestion feedback is appended to
     /// `tcp_out`.
+    ///
+    /// The drained frames are walked as *runs*: maximal stretches of
+    /// consecutive frames with an equal 5-tuple (traffic sources emit
+    /// per-flow bursts, so a poll is usually a handful of long runs).
+    /// Each run is classified, health-checked, resolved to its entry
+    /// instance and admitted once (`rx_run`).
     pub fn rx_poll(&mut self, now: SimTime, admit: &mut AdmitFn<'_>, tcp_out: &mut Vec<TcpEvent>) {
         let mut frames = std::mem::take(&mut self.scratch_frames);
         frames.clear();
         self.nic.take_rx(&mut frames);
-        // Per-poll decision cache: traffic sources emit per-flow bursts,
-        // so consecutive frames usually repeat a flow — and within one
-        // poll nothing a frame's admission depends on can change (NF
-        // health, backpressure marks and replica pins are only mutated by
-        // other events). Classification itself still runs per frame (it
-        // carries the per-packet counters); the chain-health check, entry
-        // resolution and admission callback run once per flow run.
-        let mut cached_flow = FlowId(u32::MAX);
-        let mut cached_entry = NfId(0);
-        let mut cached_admit = false;
-        for frame in frames.drain(..) {
-            let Some((flow, chain)) = self.flow_table.classify(&frame.tuple, frame.size) else {
-                self.stats.unclassified += 1;
-                self.trace_drop(now, DropCause::Unclassified, NO_ID, NO_ID, NO_ID);
-                continue;
-            };
-            let entry;
-            if flow == cached_flow {
-                entry = cached_entry;
-                self.nfs[entry.index()].note_arrival();
-                if !cached_admit {
-                    self.stats.dropped(flow, chain, DropLocation::EntryThrottle);
-                    self.trace_drop(now, DropCause::EntryThrottle, flow.0, chain.0, entry.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    continue;
-                }
-            } else {
-                // Wildcard rules can mint new flows at runtime; keep
-                // per-flow stats sized accordingly.
-                self.grow_flow_stats(flow);
-                // Graceful degradation: a chain routed through a dead NF
-                // can never deliver, so shed at entry rather than filling
-                // rings and the mempool with doomed packets. Shed before
-                // the λ accounting — this traffic is not offered load for
-                // the (live) entry NF, and counting it would inflate its
-                // weight for the duration of the outage.
-                if let Some(dead) = self.chain_down_nf(chain) {
-                    self.stats.dropped(flow, chain, DropLocation::NfDown(dead));
-                    self.trace_drop(now, DropCause::NfDown, flow.0, chain.0, dead.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    continue;
-                }
-                // The entry NF's offered load (λ) is measured
-                // pre-admission: the RX thread sees every classified
-                // frame, and rate-cost shares must reflect demand, not the
-                // post-throttle trickle. With replicas, the flow is first
-                // sharded to its instance so each instance's estimator
-                // sees only its own demand.
-                entry = {
-                    let e = self.chains.entry(chain);
-                    self.resolve_instance(e, flow)
-                };
-                self.nfs[entry.index()].note_arrival();
-                let shed = {
-                    let this = &mut *self;
-                    let mut on_path = |t: NfId| {
-                        let base = this.canonical_of(t);
-                        this.resolve_instance(base, flow) == t
-                    };
-                    !admit(chain, flow, &mut on_path)
-                };
-                cached_flow = flow;
-                cached_entry = entry;
-                cached_admit = !shed;
-                if shed {
-                    self.stats.dropped(flow, chain, DropLocation::EntryThrottle);
-                    self.trace_drop(now, DropCause::EntryThrottle, flow.0, chain.0, entry.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    continue;
-                }
+        let mut start = 0;
+        while start < frames.len() {
+            let tuple = frames[start].tuple;
+            let mut bytes = u64::from(frames[start].size);
+            let mut end = start + 1;
+            while end < frames.len() && frames[end].tuple == tuple {
+                bytes += u64::from(frames[end].size);
+                end += 1;
             }
+            self.rx_run(now, &frames[start..end], bytes, admit, tcp_out);
+            start = end;
+        }
+        self.scratch_frames = frames;
+    }
+
+    /// One same-tuple run of [`Platform::rx_poll`], carrying `bytes` in
+    /// total. Byte-identical to handling its frames one at a time: within
+    /// one poll no other event can interleave, so nothing a frame's fate
+    /// depends on — its flow and chain, NF health, replica pins, the
+    /// backpressure marks behind `admit` — can change between the run's
+    /// frames. Classification ([`FlowTable::classify_run`]), the dead-
+    /// chain check, entry resolution and admission therefore happen once,
+    /// and a shed run is one batched stats update. Only what a frame
+    /// carries itself stays per frame: trace records (when tracing is on),
+    /// TCP loss feedback with the frame's `seq`, and the mempool alloc and
+    /// ring enqueue of admitted frames.
+    #[inline]
+    fn rx_run(
+        &mut self,
+        now: SimTime,
+        run: &[WireFrame],
+        bytes: u64,
+        admit: &mut AdmitFn<'_>,
+        tcp_out: &mut Vec<TcpEvent>,
+    ) {
+        let len = run.len() as u32;
+        let n = u64::from(len);
+        let Some((flow, chain)) = self.flow_table.classify_run(&run[0].tuple, len, bytes) else {
+            self.stats.unclassified += n;
+            self.trace_drops(now, DropCause::Unclassified, NO_ID, NO_ID, NO_ID, n);
+            return;
+        };
+        // Wildcard rules can mint new flows at runtime; keep per-flow
+        // stats sized accordingly.
+        self.grow_flow_stats(flow);
+        // Graceful degradation: a chain routed through a dead NF can never
+        // deliver, so shed at entry rather than filling rings and the
+        // mempool with doomed packets. Shed before the λ accounting — this
+        // traffic is not offered load for the (live) entry NF, and
+        // counting it would inflate its weight for the duration of the
+        // outage.
+        if let Some(dead) = self.chain_down_nf(chain) {
+            self.stats
+                .dropped_run(flow, chain, DropLocation::NfDown(dead), n);
+            self.trace_drops(now, DropCause::NfDown, flow.0, chain.0, dead.0, n);
+            self.note_tcp_drops(flow, run, tcp_out);
+            return;
+        }
+        // The entry NF's offered load (λ) is measured pre-admission: the
+        // RX thread sees every classified frame, and rate-cost shares must
+        // reflect demand, not the post-throttle trickle. With replicas,
+        // the flow is first sharded to its instance so each instance's
+        // estimator sees only its own demand.
+        let entry = {
+            let e = self.chains.entry(chain);
+            self.resolve_instance(e, flow)
+        };
+        self.nfs[entry.index()].arrivals += n;
+        let shed = {
+            let this = &mut *self;
+            let mut on_path = |t: NfId| {
+                let base = this.canonical_of(t);
+                this.resolve_instance(base, flow) == t
+            };
+            !admit(chain, flow, &mut on_path)
+        };
+        if shed {
+            self.stats
+                .dropped_run(flow, chain, DropLocation::EntryThrottle, n);
+            self.trace_drops(now, DropCause::EntryThrottle, flow.0, chain.0, entry.0, n);
+            self.note_tcp_drops(flow, run, tcp_out);
+            return;
+        }
+        for frame in run {
             let pkt = Packet {
                 tuple: frame.tuple,
                 flow,
@@ -423,7 +449,6 @@ impl Platform {
                 }
             }
         }
-        self.scratch_frames = frames;
     }
 
     fn trace_drop(&self, now: SimTime, cause: DropCause, flow: u32, chain: u32, nf: u32) {
@@ -438,15 +463,40 @@ impl Platform {
         );
     }
 
+    /// `n` identical drop records (one per frame of a dropped run).
+    fn trace_drops(&self, now: SimTime, cause: DropCause, flow: u32, chain: u32, nf: u32, n: u64) {
+        if self.trace.is_on() {
+            for _ in 0..n {
+                self.trace_drop(now, cause, flow, chain, nf);
+            }
+        }
+    }
+
+    fn is_tcp(&self, flow: FlowId) -> bool {
+        // Emptiness check first: UDP-only runs pay one branch instead of
+        // a tree probe.
+        !self.tcp_flows.is_empty() && self.tcp_flows.contains(&flow)
+    }
+
     fn note_tcp_drop(&mut self, flow: FlowId, seq: u64, tcp_out: &mut Vec<TcpEvent>) {
-        // Emptiness check first: UDP-only runs pay one branch per drop
-        // instead of a tree probe.
-        if !self.tcp_flows.is_empty() && self.tcp_flows.contains(&flow) {
+        if self.is_tcp(flow) {
             tcp_out.push(TcpEvent {
                 flow,
                 seq,
                 kind: TcpEventKind::Dropped,
             });
+        }
+    }
+
+    /// Loss feedback for every frame of a dropped run, each with its own
+    /// `seq`, in arrival order.
+    fn note_tcp_drops(&self, flow: FlowId, run: &[WireFrame], tcp_out: &mut Vec<TcpEvent>) {
+        if self.is_tcp(flow) {
+            tcp_out.extend(run.iter().map(|f| TcpEvent {
+                flow,
+                seq: f.seq,
+                kind: TcpEventKind::Dropped,
+            }));
         }
     }
 
@@ -485,9 +535,7 @@ impl Platform {
                         self.mempool.free(pid);
                         self.nic.transmit(size);
                         self.stats.delivered(flow, chain, size, now.since(arrival));
-                        // Emptiness check first: UDP-only runs skip the
-                        // tree probe on every delivered packet.
-                        if !self.tcp_flows.is_empty() && self.tcp_flows.contains(&flow) {
+                        if self.is_tcp(flow) {
                             tcp_out.push(TcpEvent {
                                 flow,
                                 seq,

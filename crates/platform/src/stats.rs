@@ -184,16 +184,25 @@ impl PlatformStats {
 
     /// Record an in-box drop for `flow` (and entry bookkeeping when the
     /// location is the chain entry).
+    #[inline]
     pub fn dropped(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation) {
-        self.dropped_total += 1;
-        self.flows[flow.index()].dropped += 1;
+        self.dropped_run(flow, chain, loc, 1);
+    }
+
+    /// Record `n` drops of `flow` at one location in a single update —
+    /// exactly `n` [`PlatformStats::dropped`] calls. The RX thread sheds
+    /// a same-flow run of frames at the chain entry this way.
+    #[inline]
+    pub fn dropped_run(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation, n: u64) {
+        self.dropped_total += n;
+        self.flows[flow.index()].dropped += n;
         if loc == DropLocation::EntryThrottle {
-            self.flows[flow.index()].entry_drops += 1;
-            self.chains[chain.index()].entry_drops += 1;
-            self.entry_throttle_drops += 1;
+            self.flows[flow.index()].entry_drops += n;
+            self.chains[chain.index()].entry_drops += n;
+            self.entry_throttle_drops += n;
         }
         if matches!(loc, DropLocation::NfDown(_)) {
-            self.nf_down_drops += 1;
+            self.nf_down_drops += n;
         }
     }
 

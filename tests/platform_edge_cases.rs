@@ -136,3 +136,128 @@ fn cooperative_scheduler_rescued_by_backpressure() {
     assert_eq!(nice.total_wasted_drops, 0);
     assert!(nice.total_delivered_pps >= coop.total_delivered_pps);
 }
+
+/// `rx_poll` walks a poll's frames as same-tuple runs and decides each
+/// run once. Frames `A A A X A B B T T` — X unclassified, B's chain
+/// routed through a crashed NF, A's and T's chains shed, T a TCP flow —
+/// must produce exactly the counters, feedback and trace records of
+/// per-frame handling (values below worked out frame by frame), with one
+/// admission call per classified run on a live chain.
+#[test]
+fn rx_poll_runs_match_per_frame_semantics() {
+    use nfv_obs::NO_ID;
+    use nfv_pkt::{Ecn, WireFrame};
+    use nfv_platform::{Platform, TcpEventKind};
+    use nfvnice::{
+        ChainId, DropCause, FiveTuple, FlowId, NfId, PlatformConfig, Proto, SimTime, TraceKind,
+        TraceSink,
+    };
+
+    let mut p = Platform::new(PlatformConfig::default());
+    let entry = p.add_nf(NfSpec::new("entry", 0, 100));
+    let dead = p.add_nf(NfSpec::new("dead", 0, 100));
+    let tail = p.add_nf(NfSpec::new("tail", 0, 100));
+    let chain_a = p.install_chain(&[entry, tail]);
+    let chain_b = p.install_chain(&[entry, dead]);
+    let chain_t = p.install_chain(&[tail]);
+    let (ta, tb, tt) = (
+        FiveTuple::synthetic(1, Proto::Udp),
+        FiveTuple::synthetic(2, Proto::Udp),
+        FiveTuple::synthetic(3, Proto::Tcp),
+    );
+    let tx = FiveTuple::synthetic(4, Proto::Udp); // no rule: unclassified
+    let fa = p.install_flow(ta, chain_a);
+    let fb = p.install_flow(tb, chain_b);
+    let ft = p.install_flow(tt, chain_t);
+    let mut crash_feedback = Vec::new();
+    p.crash_nf(dead, SimTime::ZERO, &mut crash_feedback);
+    p.trace = TraceSink::recording();
+
+    let now = SimTime::from_micros(10);
+    for (seq, tuple) in [ta, ta, ta, tx, ta, tb, tb, tt, tt].into_iter().enumerate() {
+        p.nic.deliver(WireFrame {
+            tuple,
+            size: 64,
+            seq: 100 + seq as u64,
+            cost_class: 0,
+            ecn: Ecn::NotEct,
+            arrival: now,
+        });
+    }
+    let mut admit_calls = Vec::new();
+    let mut tcp = Vec::new();
+    p.rx_poll(
+        now,
+        &mut |chain: ChainId, flow: FlowId, _: &mut dyn FnMut(NfId) -> bool| {
+            admit_calls.push(flow);
+            chain != chain_a && chain != chain_t
+        },
+        &mut tcp,
+    );
+
+    // Runs: [A A A] [X] [A] [B B] [T T]. B's run sheds on the dead-chain
+    // check before admission; the unclassified run never reaches it.
+    assert_eq!(admit_calls, vec![fa, fa, ft]);
+    let flow = |f: FlowId| {
+        let s = &p.stats.flows[f.index()];
+        (s.dropped, s.entry_drops)
+    };
+    assert_eq!(flow(fa), (4, 4));
+    assert_eq!(flow(fb), (2, 0));
+    assert_eq!(flow(ft), (2, 2));
+    let chain_drops: Vec<u64> = p.stats.chains.iter().map(|c| c.entry_drops).collect();
+    assert_eq!(chain_drops, vec![4, 0, 2]);
+    assert_eq!(p.stats.entry_throttle_drops, 6);
+    assert_eq!(p.stats.nf_down_drops, 2);
+    assert_eq!(p.stats.unclassified, 1);
+    // λ counts every admitted-or-shed frame at its entry instance, but not
+    // frames shed for a dead chain.
+    let arrivals: Vec<u64> = p.nfs.iter().map(|nf| nf.arrivals).collect();
+    assert_eq!(arrivals, vec![4, 0, 2]);
+    assert_eq!(p.mempool.in_use(), 0);
+
+    let seqs: Vec<u64> = tcp
+        .iter()
+        .map(|e| {
+            assert_eq!((e.flow, e.kind), (ft, TcpEventKind::Dropped));
+            e.seq
+        })
+        .collect();
+    assert_eq!(seqs, vec![107, 108]);
+
+    let drops: Vec<(DropCause, u32, u32, u32)> = p
+        .trace
+        .take()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::PacketDrop {
+                cause,
+                flow,
+                chain,
+                nf,
+            } => {
+                assert_eq!(e.t, now);
+                Some((cause, flow, chain, nf))
+            }
+            _ => None,
+        })
+        .collect();
+    let shed_a = (DropCause::EntryThrottle, fa.0, chain_a.0, entry.0);
+    let down_b = (DropCause::NfDown, fb.0, chain_b.0, dead.0);
+    let shed_t = (DropCause::EntryThrottle, ft.0, chain_t.0, tail.0);
+    let unclassified = (DropCause::Unclassified, NO_ID, NO_ID, NO_ID);
+    assert_eq!(
+        drops,
+        vec![
+            shed_a,
+            shed_a,
+            shed_a,
+            unclassified,
+            shed_a,
+            down_b,
+            down_b,
+            shed_t,
+            shed_t
+        ]
+    );
+}
