@@ -3,7 +3,7 @@
 //! scheduler dispatch cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use nfv_des::{Duration, DurationHistogram, EventQueue, QueueKind, SimTime};
+use nfv_des::{Duration, DurationHistogram, EventQueue, SimTime};
 use nfv_pkt::{ChainId, FiveTuple, FlowId, FlowTable, Mempool, Packet, PktId, Proto, Ring};
 use nfv_sched::{CfsParams, OsScheduler, Policy, SwitchKind};
 
@@ -57,29 +57,24 @@ fn event_queue_ops(c: &mut Criterion) {
             }
         });
     });
-    // Backend comparison cells: same 1k-event workload pinned to each
-    // queue implementation, reported as ops/sec (one op = push + pop).
-    // The wheel must not lose to the heap on this mixed near/far pattern —
-    // run-to-run noise aside, a wheel slower than ~half the heap's rate
-    // here means a cascade or occupancy-scan regression.
+    // 1k-event mixed near/far workload, reported as ops/sec (one op =
+    // push + pop).
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(1000));
-    for (name, kind) in [("wheel_1k", QueueKind::Wheel), ("heap_1k", QueueKind::Heap)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_kind(kind);
-                for i in 0..1000u64 {
-                    q.push(SimTime::from_nanos((i * 7919) % 100_000 + 100_000), i);
-                }
-                let mut popped = 0u64;
-                while let Some(x) = q.pop() {
-                    black_box(x);
-                    popped += 1;
-                }
-                assert_eq!(popped, 1000, "queue lost events");
-            });
+    g.bench_function("wheel_1k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..1000u64 {
+                q.push(SimTime::from_nanos((i * 7919) % 100_000 + 100_000), i);
+            }
+            let mut popped = 0u64;
+            while let Some(x) = q.pop() {
+                black_box(x);
+                popped += 1;
+            }
+            assert_eq!(popped, 1000, "queue lost events");
         });
-    }
+    });
     g.finish();
 }
 

@@ -61,9 +61,9 @@ struct CellRecord {
     /// into the simulation).
     wall_ms: f64,
     trace_digest: u64,
-    /// Event-queue self-profiling counters from the run's report. They are
-    /// deterministic per queue backend, but live in the timings file (not
-    /// the metrics document) so the metrics stay backend-independent.
+    /// Event-queue self-profiling counters from the run's report. They
+    /// are deterministic, but live in the timings file (not the metrics
+    /// document) with the other self-profiling counters.
     queue: QueueStats,
     /// Events popped and discarded as stale by the engine.
     stale_pops: u64,
@@ -312,8 +312,8 @@ pub fn timings_json() -> String {
             per_sec(q.pops),
             per_sec(q.allocs),
         );
-        // Flow-table self-profiling: like `queue`, backend-dependent
-        // internals stay in this (timings) file only.
+        // Flow-table self-profiling: backend-dependent internals stay in
+        // this (timings) file only.
         let f = &c.flow;
         let avg_probe = f.probe_steps as f64 / (f.exact_hits + f.installs).max(1) as f64;
         let _ = write!(

@@ -12,10 +12,8 @@
 //! one place), [`parse`] recovers the item structure rules need (fn/impl
 //! boundaries, `#[cfg(test)]` regions, allowlist directives), and the
 //! [`rules`] registry runs each [`rules::Rule`] over the parsed
-//! workspace. The previous line-lexical scanner survives unchanged in
-//! [`legacy`] as a differential oracle (the same pattern as the binary
-//! heap kept beside the timer wheel): `tests/lint.rs` asserts both
-//! engines produce identical findings for the six rules they share.
+//! workspace. `tests/lint.rs` pins the six determinism/float rules'
+//! findings on a seeded corpus as an explicit `(path, line, rule)` set.
 //!
 //! Rules (see `crates/check/README.md` for the full table):
 //!
@@ -42,7 +40,6 @@
 //! (`crates/check`, `crates/criterion`, `crates/proptest`).
 
 pub mod json;
-pub mod legacy;
 pub mod lexer;
 pub mod parse;
 pub mod perf;

@@ -1,9 +1,9 @@
 //! End-to-end tests for the `nfv-lint` binary: the real workspace must
 //! scan clean, a scratch tree seeded with each hazard pattern must fail
 //! with a JSON finding carrying the rule id and file:line, the JSON
-//! report shape and ordering are pinned by a snapshot, and the legacy
-//! line-lexical engine is kept as a differential oracle for the six
-//! rules both engines implement.
+//! report shape and ordering are pinned by a snapshot, and the findings
+//! of the six determinism/float rules on a seeded corpus are pinned as
+//! an explicit `(path, line, rule)` set.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -150,13 +150,13 @@ fn github_format_emits_annotations() {
     );
 }
 
-/// Differential oracle: the legacy line-lexical scanner and the v2
-/// token engine must agree, finding for finding, on the six rules they
-/// share — over the real workspace AND a seeded corpus that makes each
-/// of those rules fire (the workspace is clean, so on its own it only
-/// proves agreement on emptiness).
+/// The six determinism/float rules, over the real workspace plus a
+/// seeded corpus that makes each of them fire (the workspace is clean,
+/// so on its own it only proves emptiness), yield exactly the pinned
+/// `(path, line, rule)` set. The set was recorded from the previous
+/// line-lexical scanner, so it also pins parity with it.
 #[test]
-fn legacy_and_v2_engines_agree_on_shared_rules() {
+fn shared_rules_findings_match_pinned_set() {
     const SHARED: [&str; 6] = [
         "hash-map",
         "hash-set",
@@ -204,29 +204,27 @@ impl Acc {
         .to_string(),
     ));
 
-    let legacy: BTreeSet<(String, usize, &str)> = files
-        .iter()
-        .flat_map(|(p, t)| nfv_check::legacy::scan_source(p, t))
-        .filter(|f| SHARED.contains(&f.rule))
-        .map(|f| (f.path, f.line, f.rule))
-        .collect();
-    let v2: BTreeSet<(String, usize, &str)> = nfv_check::rules::scan_sources(files)
+    let found: BTreeSet<(String, usize, &str)> = nfv_check::rules::scan_sources(files)
         .into_iter()
         .filter(|f| SHARED.contains(&f.rule))
         .map(|f| (f.path, f.line, f.rule))
         .collect();
-
-    assert!(
-        legacy
-            .iter()
-            .any(|(p, _, _)| p.ends_with("seeded_hazards.rs")),
-        "seeded corpus must actually fire: {legacy:?}"
-    );
-    for rule in SHARED {
-        assert!(
-            legacy.iter().any(|(_, _, r)| *r == rule),
-            "no {rule} finding in the seeded corpus"
-        );
-    }
-    assert_eq!(legacy, v2, "engines disagree");
+    let hazards = "crates/platform/src/seeded_hazards.rs";
+    let expected: BTreeSet<(String, usize, &str)> = [
+        ("crates/core/src/seeded_float.rs", 7, "float-accum"),
+        (hazards, 1, "hash-map"),
+        (hazards, 2, "hash-set"),
+        (hazards, 3, "wall-clock"),
+        (hazards, 4, "raw-rand"),
+        (hazards, 7, "hash-map"),
+        (hazards, 8, "hash-set"),
+        (hazards, 9, "wall-clock"),
+        (hazards, 10, "wall-clock"),
+        (hazards, 11, "thread-spawn"),
+        (hazards, 12, "raw-rand"),
+    ]
+    .into_iter()
+    .map(|(p, l, r)| (p.to_string(), l, r))
+    .collect();
+    assert_eq!(found, expected);
 }

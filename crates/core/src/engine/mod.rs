@@ -114,8 +114,7 @@ pub struct Simulation {
     stalls_detected: u64,
     /// Events popped and discarded because lazy invalidation made them
     /// stale (dead-NF batch events, no-op respawns/crashes/slowdown
-    /// ends). Counted at the discard site, so both queue backends agree
-    /// on it by construction.
+    /// ends). Counted at the discard site.
     stale_pops: u64,
     /// Periodic ticks whose handler body was elided by idle skip-ahead
     /// (the event was still popped and digested). Injected into the
@@ -143,7 +142,7 @@ impl Simulation {
         let rng = SimRng::seed_from_u64(cfg.seed);
         Simulation {
             platform,
-            queue: EventQueue::with_kind(cfg.queue),
+            queue: EventQueue::new(),
             rng,
             sanitizer: Sanitizer::new(cfg.sanitizer),
             udp: Vec::new(),
@@ -343,25 +342,17 @@ impl Simulation {
     pub fn run(&mut self, duration: Duration) -> Report {
         let end = SimTime::ZERO + duration;
         self.prime(end);
-        if self.cfg.coalesce {
-            // Timer coalescing: drain every same-instant event in one
-            // queue probe and replay the batch in `(time, seq)` order.
-            // Anything a handler pushes at the batch's own instant
-            // carries a higher seq than every batch member, so it lands
-            // in the *next* batch at the same timestamp — the delivered
-            // stream is identical to per-pop operation (DESIGN.md §15).
-            let mut rest: Vec<(SimTime, Ev)> = Vec::new();
-            while let Some((now, ev)) = self.queue.pop_batch_before(end, &mut rest) {
-                self.handle(now, ev, end);
-                for (t, e) in rest.drain(..) {
-                    self.handle(t, e, end);
-                }
-            }
-        } else {
-            // `pop_before` folds the old `peek_time` + `pop` pair into
-            // one queue search per event.
-            while let Some((now, ev)) = self.queue.pop_before(end) {
-                self.handle(now, ev, end);
+        // Timer coalescing: drain every same-instant event in one queue
+        // probe and replay the batch in `(time, seq)` order. Anything a
+        // handler pushes at the batch's own instant carries a higher seq
+        // than every batch member, so it lands in the *next* batch at the
+        // same timestamp — the delivered stream is identical to per-pop
+        // operation (DESIGN.md §15).
+        let mut rest: Vec<(SimTime, Ev)> = Vec::new();
+        while let Some((now, ev)) = self.queue.pop_batch_before(end, &mut rest) {
+            self.handle(now, ev, end);
+            for (t, e) in rest.drain(..) {
+                self.handle(t, e, end);
             }
         }
         self.platform.roll_meters(end);
@@ -489,7 +480,7 @@ impl Simulation {
                 // digested and rescheduled, so the stream is unchanged.
                 // Empty NIC: `do_rx` would classify, admit and dispatch
                 // nothing.
-                if self.cfg.skip_ahead && self.platform.nic.rx_pending() == 0 {
+                if self.platform.nic.rx_pending() == 0 {
                     self.skipped_ticks += 1;
                 } else {
                     self.do_rx(now);
@@ -500,7 +491,7 @@ impl Simulation {
                 // No live packet anywhere: no outbox to drain, and no
                 // TxFull NF to wake (a TxFull block implies a live
                 // outbox entry, hence `in_use > 0`).
-                if self.cfg.skip_ahead && self.platform.mempool.in_use() == 0 {
+                if self.platform.mempool.in_use() == 0 {
                     self.skipped_ticks += 1;
                 } else {
                     self.do_tx(now);
@@ -516,8 +507,7 @@ impl Simulation {
                 // hysteresis audit is live — a skipped scan would shift a
                 // state's first-observation time and change the measured
                 // dwell (`Sanitizer::wants_hysteresis`).
-                if self.cfg.skip_ahead
-                    && self.platform.mempool.in_use() == 0
+                if self.platform.mempool.in_use() == 0
                     && (!self.cfg.nfvnice.backpressure || self.bp.quiescent())
                     && !self.sanitizer.wants_hysteresis()
                 {

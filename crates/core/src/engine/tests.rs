@@ -87,87 +87,74 @@ fn trace_digest_is_reproducible_and_seed_sensitive() {
     assert_ne!(run(7), run(8));
 }
 
-#[test]
-fn queue_backends_produce_identical_runs() {
-    // Runtime backend selection: the same config on the timer wheel and
-    // the binary heap must yield the same event order, hence the same
-    // trace digest and report — regardless of which backend the build
-    // defaults to. Poisson arrivals so RNG draws depend on event order.
-    let run = |queue: nfv_des::QueueKind| {
-        let mut cfg = base_cfg(1, Policy::CfsBatch, NfvniceConfig::full());
-        cfg.queue = queue;
-        let mut sim = Simulation::new(cfg);
-        let a = sim.add_nf(NfSpec::new("light", 0, 120));
-        let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
-        let chain = sim.add_chain(&[a, b]);
-        sim.add_udp_with(chain, 400_000.0, 64, |f| f.poisson());
-        sim.run(Duration::from_millis(60))
-    };
-    let wheel = run(nfv_des::QueueKind::Wheel);
-    let classic = run(nfv_des::QueueKind::WheelClassic);
-    let heap = run(nfv_des::QueueKind::Heap);
-    for other in [&classic, &heap] {
-        assert_eq!(wheel.trace_digest, other.trace_digest);
-        assert_eq!(wheel.flows[0].delivered, other.flows[0].delivered);
-        assert_eq!(wheel.flows[0].dropped, other.flows[0].dropped);
-        assert_eq!(wheel.total_wasted_drops, other.total_wasted_drops);
-        for (w, h) in wheel.nfs.iter().zip(other.nfs.iter()) {
-            assert_eq!(w.processed, h.processed, "{}", w.name);
-        }
-    }
+/// Light+heavy chain, Poisson arrivals (so RNG draws depend on event
+/// order), 60 ms: the scenario both pinned-digest tests below run.
+fn light_heavy_run(policy: Policy, rate_pps: f64) -> crate::Report {
+    let mut sim = Simulation::new(base_cfg(1, policy, NfvniceConfig::full()));
+    let a = sim.add_nf(NfSpec::new("light", 0, 120));
+    let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
+    let chain = sim.add_chain(&[a, b]);
+    sim.add_udp_with(chain, rate_pps, 64, |f| f.poisson());
+    sim.run(Duration::from_millis(60))
 }
 
+/// (policy, offered pps, trace digest, (delivered, dropped),
+///  per-NF (processed, cpu_time ns)).
+type Pin = (Policy, f64, u64, (u64, u64), [(u64, u64); 2]);
+
+fn assert_matches_pin((policy, rate, digest, flow, nfs): Pin) -> crate::Report {
+    let r = light_heavy_run(policy, rate);
+    let label = format!("{policy:?} @ {rate} pps");
+    assert_eq!(r.trace_digest, digest, "{label}");
+    assert_eq!((r.flows[0].delivered, r.flows[0].dropped), flow, "{label}");
+    let got: Vec<(u64, u64)> = r
+        .nfs
+        .iter()
+        .map(|n| (n.processed, n.cpu_time.as_nanos()))
+        .collect();
+    assert_eq!(got, nfs, "{label}");
+    r
+}
+
+/// The event queue has one backend, the arena timer wheel. These literals
+/// were recorded on a binary-heap event queue; the wheel must reproduce
+/// that event order exactly, so any drift shows up as a changed digest
+/// or counter.
+#[test]
+fn queue_backends_produce_identical_runs() {
+    assert_matches_pin((
+        Policy::CfsBatch,
+        400_000.0,
+        0x886d_7dbd_cd27_3ff3,
+        (5_897, 0),
+        [(16_167, 746_212), (5_897, 58_970_000)],
+    ));
+}
+
+/// The engine loop always coalesces same-instant pops and skips no-op
+/// periodic ticks. These literals were recorded with per-pop delivery
+/// and every tick run in full; the fast loop must reproduce them, on an
+/// overloaded run and on a light one where both paths engage.
 #[test]
 fn coalesce_and_skip_ahead_knobs_are_byte_identical() {
-    // The engine-level speed knobs (same-instant batch replay and
-    // no-op-tick body elision) must be invisible in every deterministic
-    // output: same event stream (trace digest), same per-NF/per-flow
-    // counters, for every knob combination — regardless of which way the
-    // build's features flipped the defaults. Poisson arrivals so RNG
-    // draws depend on event order; an idle tail so skip-ahead actually
-    // fires.
-    let run = |coalesce: bool, skip_ahead: bool, rate_pps: f64| {
-        let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
-        cfg.coalesce = coalesce;
-        cfg.skip_ahead = skip_ahead;
-        let mut sim = Simulation::new(cfg);
-        let a = sim.add_nf(NfSpec::new("light", 0, 120));
-        let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
-        let chain = sim.add_chain(&[a, b]);
-        sim.add_udp_with(chain, rate_pps, 64, |f| f.poisson());
-        sim.run(Duration::from_millis(60))
-    };
-    // Overloaded run (backpressure active) and a lightly loaded one with
-    // idle gaps between packets: both must be knob-invariant.
-    let base = run(false, false, 400_000.0);
-    for (coalesce, skip_ahead) in [(true, false), (false, true), (true, true)] {
-        let fast = run(coalesce, skip_ahead, 400_000.0);
-        assert_eq!(
-            base.trace_digest, fast.trace_digest,
-            "coalesce={coalesce} skip_ahead={skip_ahead}"
-        );
-        assert_eq!(base.total_delivered_pps, fast.total_delivered_pps);
-        assert_eq!(base.total_wasted_drops, fast.total_wasted_drops);
-        assert_eq!(base.throttle_events, fast.throttle_events);
-        for (b, f) in base.nfs.iter().zip(fast.nfs.iter()) {
-            assert_eq!(b.processed, f.processed, "{}", b.name);
-            assert_eq!(b.cpu_time, f.cpu_time, "{}", b.name);
-        }
-        for (b, f) in base.flows.iter().zip(fast.flows.iter()) {
-            assert_eq!(b.delivered, f.delivered);
-            assert_eq!(b.dropped, f.dropped);
-        }
-    }
-    // The light run has idle windows (20k pps ≪ the chain's capacity),
-    // so both knobs must actually engage — and stay byte-invariant.
-    let idle_base = run(false, false, 20_000.0);
-    let idle_fast = run(true, true, 20_000.0);
-    assert_eq!(idle_base.trace_digest, idle_fast.trace_digest);
-    assert_eq!(idle_base.flows[0].delivered, idle_fast.flows[0].delivered);
-    assert!(idle_fast.queue.skipped_ticks > 0, "skip-ahead never fired");
-    assert!(idle_fast.queue.coalesced_pops > 0, "coalescing never fired");
-    assert_eq!(idle_base.queue.skipped_ticks, 0);
-    assert_eq!(idle_base.queue.coalesced_pops, 0);
+    assert_matches_pin((
+        Policy::CfsNormal,
+        400_000.0,
+        0x9c7c_7c4d_670f_2eac,
+        (5_897, 0),
+        [(17_828, 822_885), (5_897, 58_970_000)],
+    ));
+    // Light load: idle windows between packets, so skip-ahead and
+    // same-instant coalescing both engage.
+    let idle = assert_matches_pin((
+        Policy::CfsNormal,
+        20_000.0,
+        0x87aa_3ba9_e4c1_8593,
+        (1_177, 0),
+        [(1_177, 55_109), (1_177, 11_770_000)],
+    ));
+    assert!(idle.queue.skipped_ticks > 0, "skip-ahead never fired");
+    assert!(idle.queue.coalesced_pops > 0, "coalescing never fired");
 }
 
 #[test]

@@ -61,9 +61,7 @@ pub use report::{ChainReport, FlowReport, NfReport, Report, Series};
 
 // Re-export the pieces users need to assemble experiments without naming
 // every substrate crate.
-pub use nfv_des::{
-    CpuFreq, Duration, QueueKind, QueueStats, Sanitizer, SanitizerConfig, SimRng, SimTime,
-};
+pub use nfv_des::{CpuFreq, Duration, QueueStats, Sanitizer, SanitizerConfig, SimRng, SimTime};
 pub use nfv_obs::{
     trace_to_csv, trace_to_jsonl, trace_to_jsonl_into, DropCause, MetricsRecorder, SleepReason,
     TraceEvent, TraceKind, TraceSink,

@@ -141,8 +141,7 @@ pub struct Report {
     pub trace_digest: u64,
     /// Events popped and discarded as stale (lazy invalidation: dead-NF
     /// batch events, no-op respawns/crashes/slowdown ends). Counted at
-    /// the engine's discard sites, so the number is identical whichever
-    /// queue backend delivered the events.
+    /// the engine's discard sites.
     pub stale_pops: u64,
     /// Event-queue self-profiling counters (pushes, pops, wheel
     /// cascades, backing-store allocations). Deterministic per backend;

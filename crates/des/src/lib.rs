@@ -21,7 +21,7 @@ pub mod sanitizer;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventQueue, QueueKind, QueueStats};
+pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;
 pub use sanitizer::{Sanitizer, SanitizerConfig, Severity, Violation};
 pub use stats::{jain_index, DurationHistogram, Ewma, RateMeter, WindowedMedian};

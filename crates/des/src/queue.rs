@@ -6,34 +6,21 @@
 //! whole-simulation runs bit-for-bit reproducible for a given seed — a
 //! property the experiment harness relies on.
 //!
-//! Three backing structures implement that contract (see [`QueueKind`]):
-//!
-//! - **Arena timer wheel** (the default): a hierarchical timer wheel whose
-//!   entries live in one slab (`Vec` of nodes linked by `u32` indices)
-//!   instead of one `VecDeque` per slot. Slots are `(head, tail)` index
-//!   pairs, so the 704-slot wheel costs ~5.6 KB of slot state plus a
-//!   single recycled node arena — event payloads are bump-allocated into
-//!   the slab once and recycled through a freelist, never freed
-//!   individually (freed wholesale when the `Simulation` drops). Draining
-//!   a level-0 slot — which holds exactly one timestamp, in insertion
-//!   order by construction — is one bitmap probe plus a list walk, which
-//!   is what makes [`EventQueue::pop_batch_before`] (timer coalescing)
-//!   cheap. See DESIGN.md §15.
-//! - **Classic timer wheel**: the previous `VecDeque`-per-slot wheel,
-//!   kept as a differential oracle. The `classic-wheel` cargo feature
-//!   flips the build-wide default back to it.
-//! - **Binary heap**: the original `BinaryHeap<Entry>` implementation,
-//!   kept as a second oracle. The `heap-queue` cargo feature flips the
-//!   build-wide default to it (and wins over `classic-wheel`).
-//!
-//! All backends pop identical `(time, seq, event)` streams — the
-//! property tests in `tests/props.rs` and the unit tests below drive them
-//! in lockstep over adversarial schedules. Wheel placement, cascade and
-//! determinism arguments are in DESIGN.md §10.
+//! The backing structure is a hierarchical timer wheel whose entries
+//! live in one slab (`Vec` of nodes linked by `u32` indices). Slots are
+//! `(head, tail)` index pairs, so the 704-slot wheel costs ~5.6 KB of
+//! slot state plus a single recycled node arena — event payloads are
+//! bump-allocated into the slab once and recycled through a freelist,
+//! never freed individually (freed wholesale when the `Simulation`
+//! drops). Draining a level-0 slot — which holds exactly one timestamp,
+//! in insertion order by construction — is one bitmap probe plus a list
+//! walk, which is what makes [`EventQueue::pop_batch_before`] (timer
+//! coalescing) cheap. Wheel placement, cascade and determinism arguments
+//! are in DESIGN.md §10 and §15; `tests/props.rs` checks the delivered
+//! stream against a `BTreeMap` reference model over adversarial
+//! schedules.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Bits of time per wheel level: 64 slots per level.
 const SLOT_BITS: u32 = 6;
@@ -41,103 +28,35 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels: `ceil(64 / SLOT_BITS)` covers the whole `u64` range.
 const LEVELS: usize = 11;
-/// Null link in the arena wheel's intrusive lists.
+/// Null link in the wheel's intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Which backing structure an [`EventQueue`] uses. All deliver the exact
-/// same `(time, seq)` stream; the arena wheel is fastest on the
-/// simulator's event mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Arena-backed hierarchical timer wheel (the default).
-    Wheel,
-    /// `VecDeque`-per-slot timer wheel — the previous implementation,
-    /// kept for differential testing (`classic-wheel` feature makes it
-    /// the build default).
-    WheelClassic,
-    /// Binary heap — the reference implementation, kept for differential
-    /// testing (`heap-queue` feature makes it the build default).
-    Heap,
-}
-
-impl QueueKind {
-    /// The build's default backend: the arena timer wheel, unless the
-    /// `classic-wheel` cargo feature flips the workspace to the
-    /// `VecDeque` wheel or `heap-queue` (which wins) flips it to the
-    /// binary heap — how CI byte-diffs the implementations over the full
-    /// quick suite.
-    pub fn default_kind() -> QueueKind {
-        if cfg!(feature = "heap-queue") {
-            QueueKind::Heap
-        } else if cfg!(feature = "classic-wheel") {
-            QueueKind::WheelClassic
-        } else {
-            QueueKind::Wheel
-        }
-    }
-}
-
-impl Default for QueueKind {
-    fn default() -> Self {
-        QueueKind::default_kind()
-    }
-}
-
 /// Self-profiling counters of one [`EventQueue`]. Deterministic for a
-/// given event stream and backend; surfaced per cell in
-/// `BENCH_timings.json` (never in the metrics document).
+/// given event stream; surfaced per cell in `BENCH_timings.json` (never
+/// in the metrics document).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events scheduled.
     pub pushes: u64,
     /// Events delivered.
     pub pops: u64,
-    /// Wheel slot cascades performed (0 on the heap backend).
+    /// Wheel slot cascades performed.
     pub cascades: u64,
-    /// Entries re-homed by cascades (0 on the heap backend).
+    /// Entries re-homed by cascades.
     pub cascaded_entries: u64,
-    /// Backing-store (re)allocations: wheel slot/arena growth or heap
-    /// growth. Flat after warm-up — the recycling guarantee.
+    /// Node-arena (re)allocations. Flat after warm-up — the recycling
+    /// guarantee.
     pub allocs: u64,
     /// Peak number of pending events.
     pub max_len: usize,
     /// Events delivered as the non-first member of a
     /// [`EventQueue::pop_batch_before`] batch — same-instant deliveries
-    /// that cost no extra wheel probe. 0 when the engine's coalescing
-    /// knob is off.
+    /// that cost no extra wheel probe.
     pub coalesced_pops: u64,
     /// Periodic ticks whose handler body was skipped by the engine's
     /// idle skip-ahead (always 0 from the queue itself; the engine
     /// injects its counter into the report's copy).
     pub skipped_ticks: u64,
-}
-
-/// A scheduled entry: fires `event` at `at`.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Wheel level housing a timestamp `at` relative to cursor `cur`:
@@ -152,7 +71,17 @@ fn level_of(cur: u64, at: u64) -> usize {
     }
 }
 
-/// The classic hierarchical timer wheel (differential oracle).
+/// One slab node of the arena wheel: the entry plus its intrusive link.
+/// `event` is `Some` while linked into a slot, `None` on the freelist
+/// (`next` then links the freelist instead).
+struct ArenaNode<E> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// The arena-backed hierarchical timer wheel.
 ///
 /// Placement: an entry with timestamp `at` lives at the level of the
 /// highest bit in which `at` differs from the cursor `cur` (the timestamp
@@ -164,182 +93,17 @@ fn level_of(cur: u64, at: u64) -> usize {
 /// slot. Level-0 slots hold exactly one timestamp each (`(cur & !63) |
 /// slot`), kept in seq order; higher-level slots hold a time range and
 /// are re-sorted by `(at, seq)` when cascaded, which restores the
-/// insertion-order tie-break exactly.
-struct ClassicWheel<E> {
-    /// `levels[level][slot]` — FIFO of entries; capacity is retained
-    /// across drains, so steady-state operation performs no allocation.
-    levels: Vec<Vec<VecDeque<WheelEntry<E>>>>,
-    /// Per-level slot-occupancy bitmaps.
-    occupied: [u64; LEVELS],
-    /// Cursor: timestamp of the last pop (or a cascaded slot's start,
-    /// transiently inside `pop_before`).
-    cur: u64,
-    len: usize,
-    cascades: u64,
-    cascaded_entries: u64,
-    allocs: u64,
-    /// Reused cascade buffer (drain target), avoiding a per-cascade Vec.
-    scratch: Vec<WheelEntry<E>>,
-}
-
-struct WheelEntry<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> ClassicWheel<E> {
-    fn new() -> Self {
-        ClassicWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            cur: 0,
-            len: 0,
-            cascades: 0,
-            cascaded_entries: 0,
-            allocs: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, e: WheelEntry<E>) {
-        let lvl = level_of(self.cur, e.at);
-        let slot = ((e.at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        let q = &mut self.levels[lvl][slot];
-        if q.len() == q.capacity() {
-            self.allocs += 1;
-        }
-        q.push_back(e);
-        self.occupied[lvl] |= 1 << slot;
-        self.len += 1;
-    }
-
-    /// Lowest occupied level and its first occupied slot — the slot
-    /// holding the global minimum (see the placement invariant above).
-    fn first(&self) -> Option<(usize, usize)> {
-        (0..LEVELS)
-            .find(|&k| self.occupied[k] != 0)
-            .map(|k| (k, self.occupied[k].trailing_zeros() as usize))
-    }
-
-    /// Start of `slot` at `lvl`, relative to the cursor's position.
-    fn slot_start(&self, lvl: usize, slot: usize) -> u64 {
-        let shift = SLOT_BITS * lvl as u32;
-        let above = shift + SLOT_BITS;
-        // Bits of `cur` above this level's span (shift-safe at the top
-        // level, where the span runs off the end of the u64).
-        let base = if above >= 64 {
-            0
-        } else {
-            (self.cur >> above) << above
-        };
-        base | ((slot as u64) << shift)
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        let (lvl, slot) = self.first()?;
-        if lvl == 0 {
-            // A level-0 slot holds exactly one timestamp.
-            Some(self.slot_start(0, slot))
-        } else {
-            self.levels[lvl][slot].iter().map(|e| e.at).min()
-        }
-    }
-
-    /// Pop the earliest entry if its timestamp is `<= limit`.
-    ///
-    /// Returns `None` **without mutating the wheel** when the earliest
-    /// entry (if any) is past `limit`: a cascade is only performed once
-    /// the slot is known to contain an entry `<= limit`, which guarantees
-    /// the call then pops. The cursor therefore never outruns the last
-    /// delivered timestamp across calls, keeping later `push`es at any
-    /// `at >= now` valid.
-    fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, E)> {
-        loop {
-            let (lvl, slot) = self.first()?;
-            if lvl == 0 {
-                let t = self.slot_start(0, slot);
-                if t > limit {
-                    return None;
-                }
-                let q = &mut self.levels[0][slot];
-                let e = q.pop_front().expect("occupied slot is empty");
-                if q.is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
-                }
-                self.len -= 1;
-                debug_assert_eq!(e.at, t);
-                self.cur = t;
-                return Some((e.at, e.seq, e.event));
-            }
-            let min_at = self.levels[lvl][slot]
-                .iter()
-                .map(|e| e.at)
-                .min()
-                .expect("occupied slot is empty");
-            if min_at > limit {
-                return None;
-            }
-            // Fast path: a lone entry in a high-level slot is the global
-            // minimum; deliver it directly. Advancing the cursor to its
-            // timestamp is exactly the state a full cascade plus level-0
-            // pop would have produced, minus the re-insertion round trip.
-            // This is the common shape for sparse timelines (timers far
-            // apart), where cascades would otherwise dominate.
-            if self.levels[lvl][slot].len() == 1 {
-                let e = self.levels[lvl][slot].pop_front().expect("len checked");
-                self.occupied[lvl] &= !(1u64 << slot);
-                self.len -= 1;
-                self.cur = e.at;
-                return Some((e.at, e.seq, e.event));
-            }
-            // Cascade: advance the cursor to the slot's start (so re-homed
-            // entries land at strictly lower levels) and re-insert in
-            // (time, seq) order, which keeps every level-0 slot sorted by
-            // insertion sequence.
-            let start = self.slot_start(lvl, slot);
-            debug_assert!(start >= self.cur && start <= min_at);
-            self.occupied[lvl] &= !(1u64 << slot);
-            let mut batch = std::mem::take(&mut self.scratch);
-            batch.extend(self.levels[lvl][slot].drain(..));
-            self.len -= batch.len();
-            self.cur = start;
-            self.cascades += 1;
-            self.cascaded_entries += batch.len() as u64;
-            batch.sort_unstable_by_key(|e| (e.at, e.seq));
-            for e in batch.drain(..) {
-                self.insert(e);
-            }
-            self.scratch = batch;
-        }
-    }
-}
-
-/// One slab node of the arena wheel: the entry plus its intrusive link.
-/// `event` is `Some` while linked into a slot, `None` on the freelist
-/// (`next` then links the freelist instead).
-struct ArenaNode<E> {
-    at: u64,
-    seq: u64,
-    next: u32,
-    event: Option<E>,
-}
-
-/// The arena-backed hierarchical timer wheel (the default backend).
+/// insertion-order tie-break exactly (DESIGN.md §10).
 ///
-/// Same placement/cascade scheme as [`ClassicWheel`] — the determinism
-/// argument (DESIGN.md §10) is unchanged — but entries live in one slab
-/// and slots are `(head, tail)` `u32` pairs linking them intrusively.
-/// Nodes are recycled through a freelist: the arena grows to the
-/// simulation's peak pending-event count once, then steady-state pushes
-/// and pops touch only the slab (event payloads are dropped wholesale
-/// with the arena at teardown). A level-0 slot drain
-/// ([`ArenaWheel::pop_batch_before`]) hands back every same-instant
-/// entry from a single bitmap probe, which is what makes engine-level
-/// timer coalescing cheap (DESIGN.md §15).
-struct ArenaWheel<E> {
+/// Entries live in one slab and slots are `(head, tail)` `u32` pairs
+/// linking them intrusively. Nodes are recycled through a freelist: the
+/// arena grows to the simulation's peak pending-event count once, then
+/// steady-state pushes and pops touch only the slab (event payloads are
+/// dropped wholesale with the arena at teardown). A level-0 slot drain
+/// ([`Wheel::pop_batch_before`]) hands back every same-instant entry from
+/// a single bitmap probe, which is what makes engine-level timer
+/// coalescing cheap (DESIGN.md §15).
+struct Wheel<E> {
     /// The node slab; grows monotonically to peak occupancy, recycled
     /// through `free_head`.
     nodes: Vec<ArenaNode<E>>,
@@ -361,9 +125,9 @@ struct ArenaWheel<E> {
     scratch: Vec<(u64, u64, u32)>,
 }
 
-impl<E> ArenaWheel<E> {
+impl<E> Wheel<E> {
     fn new() -> Self {
-        ArenaWheel {
+        Wheel {
             nodes: Vec::new(),
             free_head: NIL,
             slots: vec![(NIL, NIL); LEVELS * SLOTS],
@@ -382,11 +146,12 @@ impl<E> ArenaWheel<E> {
         lvl * SLOTS + slot
     }
 
-    /// Start of `slot` at `lvl`, relative to the cursor's position
-    /// (identical to [`ClassicWheel::slot_start`]).
+    /// Start of `slot` at `lvl`, relative to the cursor's position.
     fn slot_start(&self, lvl: usize, slot: usize) -> u64 {
         let shift = SLOT_BITS * lvl as u32;
         let above = shift + SLOT_BITS;
+        // Bits of `cur` above this level's span (shift-safe at the top
+        // level, where the span runs off the end of the u64).
         let base = if above >= 64 {
             0
         } else {
@@ -395,6 +160,8 @@ impl<E> ArenaWheel<E> {
         base | ((slot as u64) << shift)
     }
 
+    /// Lowest occupied level and its first occupied slot — the slot
+    /// holding the global minimum (see the placement invariant above).
     fn first(&self) -> Option<(usize, usize)> {
         (0..LEVELS)
             .find(|&k| self.occupied[k] != 0)
@@ -438,8 +205,7 @@ impl<E> ArenaWheel<E> {
     }
 
     /// Append node `id` to the tail of its slot's list (insertion order
-    /// within a slot is therefore `seq` order, same as the classic
-    /// wheel's `push_back`).
+    /// within a slot is therefore `seq` order).
     fn link(&mut self, id: u32) {
         let at = self.nodes[id as usize].at;
         let lvl = level_of(self.cur, at);
@@ -495,8 +261,10 @@ impl<E> ArenaWheel<E> {
         (at, seq, event)
     }
 
-    /// Cascade a multi-entry high-level slot toward level 0 (same scheme
-    /// and determinism argument as [`ClassicWheel::pop_before`]).
+    /// Cascade a multi-entry high-level slot toward level 0: advance the
+    /// cursor to the slot's start (so re-homed entries land at strictly
+    /// lower levels) and re-link in `(time, seq)` order, which keeps
+    /// every level-0 slot sorted by insertion sequence.
     fn cascade(&mut self, lvl: usize, slot: usize, start: u64) {
         let si = Self::slot_index(lvl, slot);
         let (head, _) = self.slots[si];
@@ -523,8 +291,14 @@ impl<E> ArenaWheel<E> {
         self.scratch = batch;
     }
 
-    /// Pop the earliest entry if its timestamp is `<= limit`; same
-    /// no-mutation-on-refusal contract as [`ClassicWheel::pop_before`].
+    /// Pop the earliest entry if its timestamp is `<= limit`.
+    ///
+    /// Returns `None` **without mutating the wheel** when the earliest
+    /// entry (if any) is past `limit`: a cascade is only performed once
+    /// the slot is known to contain an entry `<= limit`, which guarantees
+    /// the call then pops. The cursor therefore never outruns the last
+    /// delivered timestamp across calls, keeping later `push`es at any
+    /// `at >= now` valid.
     fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, E)> {
         loop {
             let (lvl, slot) = self.first()?;
@@ -557,7 +331,12 @@ impl<E> ArenaWheel<E> {
             if min_at > limit {
                 return None;
             }
-            // Lone-entry fast path, as in the classic wheel.
+            // Fast path: a lone entry in a high-level slot is the global
+            // minimum; deliver it directly. Advancing the cursor to its
+            // timestamp is exactly the state a full cascade plus level-0
+            // pop would have produced, minus the re-insertion round trip.
+            // This is the common shape for sparse timelines (timers far
+            // apart), where cascades would otherwise dominate.
             if head == tail {
                 let (at, seq, event) = self.take_lone(lvl, slot, head);
                 self.cur = at;
@@ -627,12 +406,6 @@ impl<E> ArenaWheel<E> {
     }
 }
 
-enum Backend<E> {
-    Arena(ArenaWheel<E>),
-    Classic(ClassicWheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic min-priority queue of simulation events.
 ///
 /// `E` is the simulation's event enum. The queue does not support removal;
@@ -641,51 +414,28 @@ enum Backend<E> {
 /// with the generation at scheduling time, and ignore stale events on
 /// delivery. (This mirrors how timer wheels in network stacks handle
 /// cancellation without a searchable structure. The engine counts such
-/// discarded deliveries explicitly — `Report::stale_pops` — so both
-/// backends agree on them by construction.)
+/// discarded deliveries explicitly — `Report::stale_pops`.)
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     seq: u64,
     now: SimTime,
     pushes: u64,
     pops: u64,
-    heap_allocs: u64,
     coalesced_pops: u64,
     max_len: usize,
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero, using the build's default
-    /// backend ([`QueueKind::default_kind`]).
+    /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default_kind())
-    }
-
-    /// An empty queue using an explicit backend — differential tests run
-    /// the same simulation on both kinds and compare digests.
-    pub fn with_kind(kind: QueueKind) -> Self {
         EventQueue {
-            backend: match kind {
-                QueueKind::Wheel => Backend::Arena(ArenaWheel::new()),
-                QueueKind::WheelClassic => Backend::Classic(ClassicWheel::new()),
-                QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            },
+            wheel: Wheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             pushes: 0,
             pops: 0,
-            heap_allocs: 0,
             coalesced_pops: 0,
             max_len: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.backend {
-            Backend::Arena(_) => QueueKind::Wheel,
-            Backend::Classic(_) => QueueKind::WheelClassic,
-            Backend::Heap(_) => QueueKind::Heap,
         }
     }
 
@@ -709,24 +459,8 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pushes += 1;
-        match &mut self.backend {
-            Backend::Arena(w) => w.insert(at.as_nanos(), seq, event),
-            Backend::Classic(w) => w.insert(WheelEntry {
-                at: at.as_nanos(),
-                seq,
-                event,
-            }),
-            Backend::Heap(h) => {
-                if h.len() == h.capacity() {
-                    self.heap_allocs += 1;
-                }
-                h.push(Entry { at, seq, event });
-            }
-        }
-        let len = self.len();
-        if len > self.max_len {
-            self.max_len = len;
-        }
+        self.wheel.insert(at.as_nanos(), seq, event);
+        self.max_len = self.max_len.max(self.wheel.len);
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -737,31 +471,15 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event if its timestamp is `<= limit`, advancing
     /// the clock to it; `None` (and no state change) otherwise.
     ///
-    /// This is the event loop's primitive: `pop_before(end)` replaces the
-    /// `peek_time` + `pop` pair, so the wheel searches its bitmaps once
-    /// per event instead of twice.
+    /// `pop_before(end)` replaces a `peek_time` + `pop` pair, so the
+    /// wheel searches its bitmaps once per event instead of twice.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Arena(w) => w
-                .pop_before(limit.as_nanos())
-                .map(|(at, _seq, event)| (SimTime::from_nanos(at), event)),
-            Backend::Classic(w) => w
-                .pop_before(limit.as_nanos())
-                .map(|(at, _seq, event)| (SimTime::from_nanos(at), event)),
-            Backend::Heap(h) => {
-                if h.peek().is_none_or(|e| e.at > limit) {
-                    None
-                } else {
-                    h.pop().map(|e| (e.at, e.event))
-                }
-            }
-        };
-        if let Some((t, _)) = &popped {
-            debug_assert!(*t >= self.now);
-            self.now = *t;
-            self.pops += 1;
-        }
-        popped
+        let (at, _seq, event) = self.wheel.pop_before(limit.as_nanos())?;
+        let t = SimTime::from_nanos(at);
+        debug_assert!(t >= self.now);
+        self.now = t;
+        self.pops += 1;
+        Some((t, event))
     }
 
     /// Pop the earliest event if its timestamp `t` is `<= limit` — and
@@ -770,63 +488,37 @@ impl<E> EventQueue<E> {
     /// to `t`. `None` means no event was due, with no state change —
     /// same refusal contract as [`EventQueue::pop_before`].
     ///
-    /// This is the timer-coalescing primitive: a run loop handling the
-    /// returned event and then draining `out` observes the exact same
-    /// `(time, seq)` stream as one calling `pop_before` per event —
-    /// events pushed while a batch is being processed carry higher
-    /// sequence numbers than every batch member, so they sort after the
-    /// batch at the same instant and are picked up by the next call. On
-    /// the arena wheel a batch costs one bitmap probe, and a
-    /// single-event batch (the common case) never touches `out`; the
-    /// oracle backends fall back to a peek/pop loop.
+    /// This is the event loop's primitive (timer coalescing): a run loop
+    /// handling the returned event and then draining `out` observes the
+    /// exact same `(time, seq)` stream as one calling `pop_before` per
+    /// event — events pushed while a batch is being processed carry
+    /// higher sequence numbers than every batch member, so they sort
+    /// after the batch at the same instant and are picked up by the next
+    /// call. A batch costs one bitmap probe, and a single-event batch
+    /// (the common case) never touches `out`.
     pub fn pop_batch_before(
         &mut self,
         limit: SimTime,
         out: &mut Vec<(SimTime, E)>,
     ) -> Option<(SimTime, E)> {
         out.clear();
-        let first = if let Backend::Arena(w) = &mut self.backend {
-            let first = w
-                .pop_batch_before(limit.as_nanos(), out)
-                .map(|(at, event)| (SimTime::from_nanos(at), event));
-            if let Some((t, _)) = &first {
-                debug_assert!(*t >= self.now);
-                self.now = *t;
-                self.pops += 1 + out.len() as u64;
-            }
-            first
-        } else {
-            // Oracle backends: peek/pop loop (correct, not optimized).
-            let first = self.pop_before(limit);
-            if let Some((t, _)) = &first {
-                let t = *t;
-                while self.peek_time() == Some(t) {
-                    let e = self.pop_before(limit).expect("peeked event vanished");
-                    out.push(e);
-                }
-            }
-            first
-        };
+        let (at, event) = self.wheel.pop_batch_before(limit.as_nanos(), out)?;
+        let t = SimTime::from_nanos(at);
+        debug_assert!(t >= self.now);
+        self.now = t;
+        self.pops += 1 + out.len() as u64;
         self.coalesced_pops += out.len() as u64;
-        first
+        Some((t, event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Arena(w) => w.peek_time().map(SimTime::from_nanos),
-            Backend::Classic(w) => w.peek_time().map(SimTime::from_nanos),
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-        }
+        self.wheel.peek_time().map(SimTime::from_nanos)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Arena(w) => w.len,
-            Backend::Classic(w) => w.len,
-            Backend::Heap(h) => h.len(),
-        }
+        self.wheel.len
     }
 
     /// True when no events are pending.
@@ -836,17 +528,12 @@ impl<E> EventQueue<E> {
 
     /// Operation counters (see [`QueueStats`]).
     pub fn stats(&self) -> QueueStats {
-        let (cascades, cascaded_entries, allocs) = match &self.backend {
-            Backend::Arena(w) => (w.cascades, w.cascaded_entries, w.allocs),
-            Backend::Classic(w) => (w.cascades, w.cascaded_entries, w.allocs),
-            Backend::Heap(_) => (0, 0, self.heap_allocs),
-        };
         QueueStats {
             pushes: self.pushes,
             pops: self.pops,
-            cascades,
-            cascaded_entries,
-            allocs,
+            cascades: self.wheel.cascades,
+            cascaded_entries: self.wheel.cascaded_entries,
+            allocs: self.wheel.allocs,
             max_len: self.max_len,
             coalesced_pops: self.coalesced_pops,
             skipped_ticks: 0,
@@ -864,46 +551,39 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::Duration;
-
-    const KINDS: [QueueKind; 3] = [QueueKind::Wheel, QueueKind::WheelClassic, QueueKind::Heap];
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_nanos(30), "c");
-            q.push(SimTime::from_nanos(10), "a");
-            q.push(SimTime::from_nanos(20), "b");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(30), "c");
+        q.push(SimTime::from_nanos(10), "a");
+        q.push(SimTime::from_nanos(20), "b");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(5);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t, i)));
-            }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t, i)));
         }
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_micros(7), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_micros(7));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(7), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_micros(7));
     }
 
     #[test]
@@ -916,139 +596,114 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event scheduled in the past")]
-    fn heap_rejects_events_in_the_past() {
-        let mut q = EventQueue::with_kind(QueueKind::Heap);
-        q.push(SimTime::from_micros(7), ());
-        q.pop();
-        q.push(SimTime::from_micros(3), ());
-    }
-
-    #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_nanos(10), 1u32);
-            q.push(SimTime::from_nanos(50), 5);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t.as_nanos(), e), (10, 1));
-            // scheduling relative to 'now' is the common pattern
-            q.push(q.now() + Duration::from_nanos(5), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 5);
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-        }
-    }
-
-    #[test]
-    fn default_kind_tracks_feature() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.kind(), QueueKind::default_kind());
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), 1u32);
+        q.push(SimTime::from_nanos(50), 5);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!((t.as_nanos(), e), (10, 1));
+        // scheduling relative to 'now' is the common pattern
+        q.push(q.now() + Duration::from_nanos(5), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 5);
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn pop_before_respects_limit_and_is_non_destructive() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_nanos(100), "a");
-            q.push(SimTime::from_nanos(5_000_000), "far");
-            assert_eq!(q.pop_before(SimTime::from_nanos(50)), None);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(
-                q.pop_before(SimTime::from_nanos(100)),
-                Some((SimTime::from_nanos(100), "a"))
-            );
-            // A refused probe must not corrupt later, earlier pushes.
-            assert_eq!(q.pop_before(SimTime::from_nanos(200)), None);
-            q.push(SimTime::from_nanos(150), "b");
-            assert_eq!(q.pop().unwrap().1, "b");
-            assert_eq!(q.pop().unwrap().1, "far");
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(100), "a");
+        q.push(SimTime::from_nanos(5_000_000), "far");
+        assert_eq!(q.pop_before(SimTime::from_nanos(50)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(
+            q.pop_before(SimTime::from_nanos(100)),
+            Some((SimTime::from_nanos(100), "a"))
+        );
+        // A refused probe must not corrupt later, earlier pushes.
+        assert_eq!(q.pop_before(SimTime::from_nanos(200)), None);
+        q.push(SimTime::from_nanos(150), "b");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert!(q.is_empty());
     }
 
     #[test]
     fn far_future_timers_cascade_correctly() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            // One event per wheel level, far apart, pushed out of order.
-            let times = [
-                1u64 << 40,
-                1 << 20,
-                3,
-                (1 << 30) + 7,
-                u64::MAX / 2,
-                (1 << 12) + 1,
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_nanos(t), i);
-            }
-            let mut sorted: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            sorted.sort_unstable();
-            for (t, i) in sorted {
-                assert_eq!(q.pop(), Some((SimTime::from_nanos(t), i)));
-            }
-            assert_eq!(q.pop(), None);
+        let mut q = EventQueue::new();
+        // One event per wheel level, far apart, pushed out of order.
+        let times = [
+            1u64 << 40,
+            1 << 20,
+            3,
+            (1 << 30) + 7,
+            u64::MAX / 2,
+            (1 << 12) + 1,
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_nanos(t), i);
         }
+        let mut sorted: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        sorted.sort_unstable();
+        for (t, i) in sorted {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(t), i)));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn same_instant_burst_survives_cascade() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            // A burst far in the future: the wheel parks it at a high
-            // level and must restore insertion order when cascading.
-            let t = SimTime::from_nanos((1 << 25) + 12_345);
-            for i in 0..64 {
-                q.push(t, i);
-            }
-            // Interleave an earlier event so the burst is not popped
-            // straight from the insertion slot.
-            q.push(SimTime::from_nanos(9), 1000);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(9), 1000)));
-            for i in 0..64 {
-                assert_eq!(q.pop(), Some((t, i)));
-            }
+        let mut q = EventQueue::new();
+        // A burst far in the future: the wheel parks it at a high
+        // level and must restore insertion order when cascading.
+        let t = SimTime::from_nanos((1 << 25) + 12_345);
+        for i in 0..64 {
+            q.push(t, i);
+        }
+        // Interleave an earlier event so the burst is not popped
+        // straight from the insertion slot.
+        q.push(SimTime::from_nanos(9), 1000);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(9), 1000)));
+        for i in 0..64 {
+            assert_eq!(q.pop(), Some((t, i)));
         }
     }
 
     #[test]
     fn batch_pop_drains_whole_instant_in_seq_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(100);
-            for i in 0..10 {
-                q.push(t, i);
-            }
-            q.push(SimTime::from_nanos(200), 99);
-            let mut out = Vec::new();
-            assert_eq!(
-                q.pop_batch_before(SimTime::from_nanos(500), &mut out),
-                Some((t, 0))
-            );
-            assert_eq!(out, (1..10).map(|i| (t, i)).collect::<Vec<_>>());
-            assert_eq!(q.now(), t);
-            assert_eq!(q.len(), 1);
-            // Next batch picks up the later instant — a singleton batch
-            // never touches `out`.
-            assert_eq!(
-                q.pop_batch_before(SimTime::from_nanos(500), &mut out),
-                Some((SimTime::from_nanos(200), 99))
-            );
-            assert!(out.is_empty());
-            // Refusal: nothing due within the limit, no state change.
-            q.push(SimTime::from_nanos(900), 7);
-            assert_eq!(q.pop_batch_before(SimTime::from_nanos(500), &mut out), None);
-            assert!(out.is_empty());
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.now(), SimTime::from_nanos(200));
-            let s = q.stats();
-            assert_eq!(s.coalesced_pops, 9);
-            assert_eq!(s.pops, 11);
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(100);
+        for i in 0..10 {
+            q.push(t, i);
         }
+        q.push(SimTime::from_nanos(200), 99);
+        let mut out = Vec::new();
+        assert_eq!(
+            q.pop_batch_before(SimTime::from_nanos(500), &mut out),
+            Some((t, 0))
+        );
+        assert_eq!(out, (1..10).map(|i| (t, i)).collect::<Vec<_>>());
+        assert_eq!(q.now(), t);
+        assert_eq!(q.len(), 1);
+        // Next batch picks up the later instant — a singleton batch
+        // never touches `out`.
+        assert_eq!(
+            q.pop_batch_before(SimTime::from_nanos(500), &mut out),
+            Some((SimTime::from_nanos(200), 99))
+        );
+        assert!(out.is_empty());
+        // Refusal: nothing due within the limit, no state change.
+        q.push(SimTime::from_nanos(900), 7);
+        assert_eq!(q.pop_batch_before(SimTime::from_nanos(500), &mut out), None);
+        assert!(out.is_empty());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.now(), SimTime::from_nanos(200));
+        let s = q.stats();
+        assert_eq!(s.coalesced_pops, 9);
+        assert_eq!(s.pops, 11);
     }
 
     #[test]
@@ -1056,52 +711,47 @@ mod tests {
         // Events pushed at the batch's own instant (as a handler would
         // during processing) carry higher seqs and arrive in the *next*
         // batch at the same time — exactly the per-pop delivery order.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(50);
-            q.push(t, 0);
-            q.push(t, 1);
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 0)));
-            assert_eq!(out, vec![(t, 1)]);
-            // "handler" pushes more work at the same instant:
-            q.push(t, 2);
-            q.push(t, 3);
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 2)));
-            assert_eq!(out, vec![(t, 3)]);
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), None);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(50);
+        q.push(t, 0);
+        q.push(t, 1);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 0)));
+        assert_eq!(out, vec![(t, 1)]);
+        // "handler" pushes more work at the same instant:
+        q.push(t, 2);
+        q.push(t, 3);
+        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 2)));
+        assert_eq!(out, vec![(t, 3)]);
+        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), None);
     }
 
     #[test]
     fn batch_pop_far_future_burst_cascades_first() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos((1 << 25) + 4_321);
-            for i in 0..32 {
-                q.push(t, i);
-            }
-            q.push(SimTime::from_nanos(3), 500);
-            let mut out = Vec::new();
-            assert_eq!(
-                q.pop_batch_before(SimTime::MAX, &mut out),
-                Some((SimTime::from_nanos(3), 500))
-            );
-            assert!(out.is_empty());
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 0)));
-            assert_eq!(out, (1..32).map(|i| (t, i)).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos((1 << 25) + 4_321);
+        for i in 0..32 {
+            q.push(t, i);
         }
+        q.push(SimTime::from_nanos(3), 500);
+        let mut out = Vec::new();
+        assert_eq!(
+            q.pop_batch_before(SimTime::MAX, &mut out),
+            Some((SimTime::from_nanos(3), 500))
+        );
+        assert!(out.is_empty());
+        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 0)));
+        assert_eq!(out, (1..32).map(|i| (t, i)).collect::<Vec<_>>());
     }
 
     #[test]
     fn backends_agree_on_lcg_stream() {
-        // Deterministic pseudo-random interleaving of pushes and pops,
-        // driven in lockstep over all three backends (batched pops
-        // included, so the coalescing primitive is differentially
-        // checked too).
-        let mut arena = EventQueue::with_kind(QueueKind::Wheel);
-        let mut classic = EventQueue::with_kind(QueueKind::WheelClassic);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        // Deterministic pseudo-random interleaving of pushes, pops and
+        // batched pops, driven in lockstep with a `BTreeMap` reference
+        // keyed by `(time, insertion seq)` (the proptest in
+        // `tests/props.rs` does the same over generated schedules).
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut lcg = move || {
             state = state
@@ -1109,11 +759,21 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
+        fn model_pop(
+            model: &mut BTreeMap<(SimTime, u64), u64>,
+            limit: SimTime,
+        ) -> Option<(SimTime, u64)> {
+            let (&(t, _), _) = model.first_key_value()?;
+            if t > limit {
+                return None;
+            }
+            model.pop_first().map(|((t, _), n)| (t, n))
+        }
         let mut n = 0u64;
-        let (mut oa, mut oc, mut oh) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
         for _ in 0..5_000 {
             let r = lcg();
-            if r % 3 != 0 || arena.is_empty() {
+            if r % 3 != 0 || q.is_empty() {
                 // Mix of near-future, same-tick and far-future offsets.
                 let off = match r % 7 {
                     0 => 0,
@@ -1121,82 +781,67 @@ mod tests {
                     5 => r % 1_000_000,
                     _ => (r % 1_000) << 24,
                 };
-                let at = arena.now() + Duration::from_nanos(off);
-                arena.push(at, n);
-                classic.push(at, n);
-                heap.push(at, n);
+                let at = q.now() + Duration::from_nanos(off);
+                q.push(at, n);
+                model.insert((at, n), n);
                 n += 1;
             } else if r % 5 == 0 {
-                let limit = arena.now() + Duration::from_nanos(lcg() % 10_000);
-                let got = arena.pop_before(limit);
-                assert_eq!(got, classic.pop_before(limit));
-                assert_eq!(got, heap.pop_before(limit));
+                let limit = q.now() + Duration::from_nanos(lcg() % 10_000);
+                assert_eq!(q.pop_before(limit), model_pop(&mut model, limit));
             } else if r % 2 == 0 {
-                let ka = arena.pop_batch_before(SimTime::MAX, &mut oa);
-                let kc = classic.pop_batch_before(SimTime::MAX, &mut oc);
-                let kh = heap.pop_batch_before(SimTime::MAX, &mut oh);
-                assert_eq!(ka, kc);
-                assert_eq!(ka, kh);
-                assert_eq!(oa, oc);
-                assert_eq!(oa, oh);
+                let first = q.pop_batch_before(SimTime::MAX, &mut out);
+                assert_eq!(first, model_pop(&mut model, SimTime::MAX));
+                for &e in &out {
+                    assert_eq!(Some(e), model_pop(&mut model, first.unwrap().0));
+                }
+                assert_ne!(model.keys().next().map(|k| k.0), first.map(|f| f.0));
             } else {
-                let got = arena.pop();
-                assert_eq!(got, classic.pop());
-                assert_eq!(got, heap.pop());
+                assert_eq!(q.pop(), model_pop(&mut model, SimTime::MAX));
             }
+            assert_eq!(q.len(), model.len());
         }
         loop {
-            let a = arena.pop();
-            assert_eq!(a, classic.pop());
-            assert_eq!(a, heap.pop());
+            let a = q.pop();
+            assert_eq!(a, model_pop(&mut model, SimTime::MAX));
             if a.is_none() {
                 break;
             }
         }
-        let (sa, sc, sh) = (arena.stats(), classic.stats(), heap.stats());
-        assert_eq!(sa.pushes, sc.pushes);
-        assert_eq!(sa.pushes, sh.pushes);
-        assert_eq!(sa.pops, sc.pops);
-        assert_eq!(sa.pops, sh.pops);
-        assert_eq!(sa.pops, sa.pushes);
-        // Batch membership is a property of the (time, seq) stream, not
-        // the backend.
-        assert_eq!(sa.coalesced_pops, sc.coalesced_pops);
-        assert_eq!(sa.coalesced_pops, sh.coalesced_pops);
+        let s = q.stats();
+        assert_eq!(s.pops, s.pushes);
+        assert!(s.coalesced_pops > 0 && s.cascades > 0);
     }
 
     #[test]
     fn stats_count_ops_and_recycling() {
-        for kind in [QueueKind::Wheel, QueueKind::WheelClassic] {
-            let mut q = EventQueue::with_kind(kind);
-            for round in 0..3 {
-                for i in 0..100u64 {
-                    q.push(q.now() + Duration::from_nanos(i + 1), i);
-                }
-                while q.pop().is_some() {}
-                if round == 0 {
-                    // Slot/arena storage allocated during the first round...
-                    assert!(q.stats().allocs > 0);
-                }
+        let mut q = EventQueue::new();
+        for round in 0..3 {
+            for i in 0..100u64 {
+                q.push(q.now() + Duration::from_nanos(i + 1), i);
             }
-            let s = q.stats();
-            assert_eq!(s.pushes, 300);
-            assert_eq!(s.pops, 300);
-            assert_eq!(s.max_len, 100);
-            // ...is recycled afterwards: warm rounds allocate nothing, so
-            // the count stays well below one per event.
-            assert!(
-                s.allocs < 150,
-                "storage not recycled: {} allocs for {} pushes",
-                s.allocs,
-                s.pushes
-            );
+            while q.pop().is_some() {}
+            if round == 0 {
+                // Slot/arena storage allocated during the first round...
+                assert!(q.stats().allocs > 0);
+            }
         }
+        let s = q.stats();
+        assert_eq!(s.pushes, 300);
+        assert_eq!(s.pops, 300);
+        assert_eq!(s.max_len, 100);
+        // ...is recycled afterwards: warm rounds allocate nothing, so
+        // the count stays well below one per event.
+        assert!(
+            s.allocs < 150,
+            "storage not recycled: {} allocs for {} pushes",
+            s.allocs,
+            s.pushes
+        );
     }
 
     #[test]
     fn arena_recycles_nodes_through_freelist() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         // Fill to peak once, drain, then churn at the same depth: the
         // slab must not grow past the peak.
         for i in 0..64u64 {

@@ -1,8 +1,9 @@
 //! Property-based tests for the DES kernel against naive reference models.
 
-use nfv_des::{jain_index, DurationHistogram, EventQueue, QueueKind, SimTime, WindowedMedian};
+use nfv_des::{jain_index, DurationHistogram, EventQueue, SimTime, WindowedMedian};
 use nfv_des::{Duration, Ewma};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One step of an interleaved queue workload: schedule events at an offset
 /// from the current clock, or drain some.
@@ -33,66 +34,97 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// Test-only reference model of [`EventQueue`]: a `BTreeMap` keyed by
+/// `(time, insertion seq)`, whose first entry is by definition the next
+/// event due. Slow and obviously correct.
+#[derive(Default)]
+struct ModelQueue {
+    pending: BTreeMap<(SimTime, u64), u32>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl ModelQueue {
+    fn push(&mut self, at: SimTime, tag: u32) {
+        self.pending.insert((at, self.seq), tag);
+        self.seq += 1;
+    }
+
+    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
+        let (&(at, _), _) = self.pending.first_key_value()?;
+        if at > limit {
+            return None;
+        }
+        let ((at, _), tag) = self.pending.pop_first()?;
+        self.now = at;
+        Some((at, tag))
+    }
+
+    fn pop_batch_before(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<(SimTime, u32)>,
+    ) -> Option<(SimTime, u32)> {
+        out.clear();
+        let first = self.pop_before(limit)?;
+        while self.peek_time() == Some(first.0) {
+            out.extend(self.pop_before(limit));
+        }
+        Some(first)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.keys().next().map(|&(at, _)| at)
+    }
+}
+
 proptest! {
-    /// The arena wheel, the classic wheel and the binary heap dequeue
-    /// bit-identical `(time, tag)` streams for arbitrary interleavings of
+    /// The timer wheel dequeues the same `(time, tag)` stream as the
+    /// `BTreeMap` reference model for arbitrary interleavings of
     /// scheduling and draining, including same-instant bursts, far-future
-    /// timers and whole-instant batch drains. This is the
-    /// backend-equivalence property the whole-suite differential run (CI
-    /// `consolidated-diff` matrix) checks end to end.
+    /// timers and whole-instant batch drains; clock, length and next
+    /// due time agree after every step.
     #[test]
     fn queue_backends_dequeue_identically(
         ops in prop::collection::vec(queue_op(), 1..200),
     ) {
-        let mut wheel: EventQueue<u32> = EventQueue::with_kind(QueueKind::Wheel);
-        let mut classic: EventQueue<u32> = EventQueue::with_kind(QueueKind::WheelClassic);
-        let mut heap: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
+        let mut wheel: EventQueue<u32> = EventQueue::new();
+        let mut model = ModelQueue::default();
         let mut tag = 0u32;
-        let (mut ow, mut oc, mut oh) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut ow, mut om) = (Vec::new(), Vec::new());
         for op in ops {
             match op {
                 QueueOp::Push { delta, count } => {
-                    // All queues have identical clocks (asserted below),
-                    // so the same absolute time goes to each.
+                    // Both clocks are identical (asserted below), so the
+                    // same absolute time goes to each.
                     let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
                     for _ in 0..count {
                         wheel.push(at, tag);
-                        classic.push(at, tag);
-                        heap.push(at, tag);
+                        model.push(at, tag);
                         tag += 1;
                     }
                 }
                 QueueOp::Pop => {
-                    let a = wheel.pop();
-                    prop_assert_eq!(a, classic.pop());
-                    prop_assert_eq!(a, heap.pop());
+                    prop_assert_eq!(wheel.pop(), model.pop_before(SimTime::MAX));
                 }
                 QueueOp::PopBefore { horizon } => {
                     let limit = SimTime::from_nanos(wheel.now().as_nanos() + horizon);
-                    let a = wheel.pop_before(limit);
-                    prop_assert_eq!(a, classic.pop_before(limit));
-                    prop_assert_eq!(a, heap.pop_before(limit));
+                    prop_assert_eq!(wheel.pop_before(limit), model.pop_before(limit));
                 }
                 QueueOp::PopBatch => {
                     let k = wheel.pop_batch_before(SimTime::MAX, &mut ow);
-                    prop_assert_eq!(k, classic.pop_batch_before(SimTime::MAX, &mut oc));
-                    prop_assert_eq!(k, heap.pop_batch_before(SimTime::MAX, &mut oh));
-                    prop_assert_eq!(&ow, &oc);
-                    prop_assert_eq!(&ow, &oh);
+                    prop_assert_eq!(k, model.pop_batch_before(SimTime::MAX, &mut om));
+                    prop_assert_eq!(&ow, &om);
                 }
             }
-            prop_assert_eq!(wheel.now(), classic.now());
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.len(), classic.len());
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), classic.peek_time());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(wheel.now(), model.now);
+            prop_assert_eq!(wheel.len(), model.pending.len());
+            prop_assert_eq!(wheel.peek_time(), model.peek_time());
         }
         // Drain all to the end: every remaining event must match too.
         loop {
             let a = wheel.pop();
-            prop_assert_eq!(a, classic.pop());
-            prop_assert_eq!(a, heap.pop());
+            prop_assert_eq!(a, model.pop_before(SimTime::MAX));
             if a.is_none() {
                 break;
             }

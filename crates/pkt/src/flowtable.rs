@@ -21,11 +21,11 @@
 //!   seed-free multiply-xor tuple hash (in-shard position uses the low
 //!   bits). Growth rehashes one shard at a time, so the amortized rehash
 //!   spike is 1/64th of a monolithic table's. The pre-shard flat table
-//!   survives as a differential oracle: select per table via
-//!   [`FlowTable::with_kind`] / [`FlowTableKind`], or build flat-default
-//!   with `--features flat-flowtable`. Ids, classification results and
-//!   eviction order are byte-identical across backends (CI
-//!   `bench-variants` matrix); only internal probe/rehash counters differ, and those go to
+//!   survives as a test oracle, selected per table via
+//!   [`FlowTable::with_kind`] / [`FlowTableKind`]. Ids, classification
+//!   results and eviction order are byte-identical across backends
+//!   (`tests/props.rs` and the engine's `flow_backends_produce_identical_runs`);
+//!   only internal probe/rehash counters differ, and those go to
 //!   `BENCH_timings.json` only.
 //! - **Deterministic aging.** Every entry carries an epoch-granular
 //!   `last_seen` stamp. [`FlowTable::age`] advances the epoch and scans in
@@ -55,9 +55,9 @@ pub struct FlowEntry {
     pub bytes: u64,
 }
 
-/// Exact-match index backend selector (mirrors `QueueKind` /
-/// `SchedBackend`): the sharded engine is the default, the flat
-/// single-table survives as a differential oracle.
+/// Exact-match index backend selector (mirrors `SchedBackend`): the
+/// sharded engine is the default, the flat single-table survives as a
+/// test oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowTableKind {
     /// Sharded open addressing: 64 shards by tuple-hash high bits.
@@ -67,14 +67,9 @@ pub enum FlowTableKind {
 }
 
 impl FlowTableKind {
-    /// The build-default backend: `Sharded`, unless the crate was built
-    /// with `--features flat-flowtable`.
+    /// The default backend: `Sharded`.
     pub fn default_kind() -> Self {
-        if cfg!(feature = "flat-flowtable") {
-            FlowTableKind::Flat
-        } else {
-            FlowTableKind::Sharded
-        }
+        FlowTableKind::Sharded
     }
 }
 

@@ -1,6 +1,5 @@
-//! The classic monolithic scheduler, kept compiled as a differential
-//! oracle for the hook-based driver — the same role the binary-heap event
-//! queue plays for the timer wheel (DESIGN.md §10).
+//! The classic monolithic scheduler, kept compiled as a test oracle for
+//! the hook-based driver.
 //!
 //! [`ClassicScheduler`] is the pre-trait `OsScheduler` shape: one struct,
 //! inline `match policy` at every decision point, no hook seam. It shares
@@ -8,9 +7,9 @@
 //! not what the refactor changed) but makes every *decision* — queue key,
 //! wake placement, preemption, slice — in place. Both bugfixes (the
 //! min_vruntime staleness fix and the stale `resched_pending` clear on
-//! park) and the EDF/SLO policies are implemented here too, so the full
-//! quick suite runs under `--features classic-sched` and CI's
-//! `bench-variants` matrix can byte-compare the two backends.
+//! park) and the EDF/SLO policies are implemented here too, so the
+//! engine's `sched_backends_produce_identical_runs` can compare the two
+//! backends on every policy.
 
 use crate::kernel::KernelCtx;
 use crate::params::{CfsParams, Policy, SLO_DEFAULT_BUDGET};

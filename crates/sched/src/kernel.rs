@@ -4,7 +4,7 @@
 //! [`KernelCtx`] deliberately contains no policy decisions — which task
 //! runs next, how long its slice is, whether a wakeup preempts — those
 //! live behind the [`Scheduler`](crate::hooks::Scheduler) hooks (or, for
-//! the differential oracle, inline in
+//! the test oracle, inline in
 //! [`ClassicScheduler`](crate::classic::ClassicScheduler)). What it does
 //! own is everything both backends must do identically: state
 //! transitions, context-switch cost and trace records, switch counters,

@@ -17,9 +17,8 @@
 //! Policies are implemented as sched_ext-style [`Scheduler`] hooks over a
 //! neutral [`KernelCtx`] and driven by the generic [`SchedCore`]
 //! (statically dispatched — no trait objects). The pre-trait monolithic
-//! [`ClassicScheduler`] stays compiled as a differential oracle, selected
-//! per run via [`SchedBackend`] or build-wide with
-//! `--features classic-sched` (DESIGN.md §12).
+//! [`ClassicScheduler`] stays compiled as a test oracle, selected per run
+//! via [`SchedBackend`] (DESIGN.md §12).
 
 #![warn(missing_docs)]
 

@@ -23,9 +23,8 @@
 //! [`SchedBackend`]: the hook-based [`SchedCore`] driving
 //! [`PolicyDispatch`], or the pre-trait monolithic
 //! [`ClassicScheduler`](crate::classic::ClassicScheduler) kept as a
-//! differential oracle. Both must produce byte-identical runs — CI's
-//! `bench-variants` matrix enforces it the same way it pins the event
-//! queue backends.
+//! test oracle. Both must produce byte-identical runs
+//! (`sched_backends_produce_identical_runs` in the engine tests).
 
 use crate::classic::ClassicScheduler;
 use crate::hooks::{PolicyDispatch, SchedCore};
@@ -37,26 +36,19 @@ use nfv_obs::TraceSink;
 
 /// Which scheduler implementation drives the run. Both produce
 /// byte-identical output for every policy; the classic monolith exists
-/// only as a differential oracle for the hook seam.
+/// only as a test oracle for the hook seam.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedBackend {
     /// The hook-based `SchedCore<PolicyDispatch>` driver (default).
     Hooks,
-    /// The pre-trait monolithic scheduler (oracle; default under
-    /// `--features classic-sched`).
+    /// The pre-trait monolithic scheduler (test oracle).
     Classic,
 }
 
 impl SchedBackend {
-    /// The build's default backend: `Hooks`, or `Classic` when the
-    /// `classic-sched` feature is enabled (so CI can run the whole suite
-    /// against the oracle without touching configs).
+    /// The default backend: `Hooks`.
     pub fn default_backend() -> SchedBackend {
-        if cfg!(feature = "classic-sched") {
-            SchedBackend::Classic
-        } else {
-            SchedBackend::Hooks
-        }
+        SchedBackend::Hooks
     }
 }
 

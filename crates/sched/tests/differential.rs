@@ -3,8 +3,7 @@
 //! classic monolith, and the full observable state must match after
 //! every command. This is the crate-level half of the equivalence
 //! argument; the engine-level half (`sched_backends_produce_identical_runs`)
-//! replays a full fig7-style simulation, and CI's `bench-variants`
-//! matrix byte-diffs the quick suite.
+//! replays a full fig7-style simulation.
 
 use nfv_des::{Duration, SimTime};
 use nfv_sched::{CfsParams, OsScheduler, Policy, SchedBackend, SwitchKind, TaskId, TaskState};
