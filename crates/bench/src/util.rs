@@ -67,10 +67,9 @@ struct CellRecord {
     queue: QueueStats,
     /// Events popped and discarded as stale by the engine.
     stale_pops: u64,
-    /// Flow-table self-profiling counters. Backend-dependent (probe
+    /// Flow-table self-profiling counters. Layout-dependent (probe
     /// lengths, rehashes), so like `queue` they live in the timings file
-    /// only — the metrics document must stay identical across the
-    /// sharded engine and the flat oracle.
+    /// only — the metrics document must not depend on the index layout.
     flow: FlowTableStats,
     /// Flows installed at the end of the run / evicted by aging over it.
     flows_active: u64,
@@ -312,7 +311,7 @@ pub fn timings_json() -> String {
             per_sec(q.pops),
             per_sec(q.allocs),
         );
-        // Flow-table self-profiling: backend-dependent internals stay in
+        // Flow-table self-profiling: layout-dependent internals stay in
         // this (timings) file only.
         let f = &c.flow;
         let avg_probe = f.probe_steps as f64 / (f.exact_hits + f.installs).max(1) as f64;

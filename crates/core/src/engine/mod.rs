@@ -123,8 +123,8 @@ pub struct Simulation {
     /// `pending_desync` counter value already reported to the sanitizer.
     seen_desync: u64,
     traffic_rotor: usize,
-    /// Flows evicted by aging over the run (cumulative; backend-identical
-    /// by construction, so it may feed metrics columns).
+    /// Flows evicted by aging over the run (cumulative; independent of
+    /// the index layout, so it may feed metrics columns).
     flows_evicted: u64,
     // per-second series bookkeeping (CPU snapshots live in the domains)
     series: Series,

@@ -157,123 +157,153 @@ fn coalesce_and_skip_ahead_knobs_are_byte_identical() {
     assert!(idle.queue.coalesced_pops > 0, "coalescing never fired");
 }
 
+/// The scheduler has one implementation, the hook-based `SchedCore`
+/// driver. These literals were recorded per policy on the pre-trait
+/// monolithic scheduler and matched by the hook driver before the
+/// monolith was retired, so a changed decision shows up as a changed
+/// digest or switch counter. The run is a fig7-style overloaded chain
+/// with a 2 ms budget; Poisson arrivals make RNG draws depend on event
+/// order.
 #[test]
 fn sched_backends_produce_identical_runs() {
-    // The trait seam must be invisible: for every policy, the hook-based
-    // SchedCore driver and the classic monolithic scheduler must yield
-    // the same event order, hence the same trace digest, delivery counts
-    // and per-NF switch counters, on a full fig7-style overloaded-chain
-    // sim. Poisson arrivals so RNG draws depend on event order.
-    for policy in [
-        Policy::CfsNormal,
-        Policy::CfsBatch,
-        Policy::rr_1ms(),
-        Policy::Cooperative,
-        Policy::Edf {
-            period: Duration::from_millis(1),
-        },
-        Policy::Slo,
-    ] {
-        let run = |backend: nfv_sched::SchedBackend| {
-            let mut cfg = base_cfg(1, policy, NfvniceConfig::full());
-            cfg.platform.sched_backend = backend;
-            let mut sim = Simulation::new(cfg);
-            let a = sim.add_nf(NfSpec::new("light", 0, 120));
-            let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
-            let chain = sim.add_chain(&[a, b]);
-            sim.set_chain_budget(chain, Duration::from_millis(2));
-            sim.add_udp_with(chain, 400_000.0, 64, |f| f.poisson());
-            sim.run(Duration::from_millis(50))
-        };
-        let hooks = run(nfv_sched::SchedBackend::Hooks);
-        let classic = run(nfv_sched::SchedBackend::Classic);
-        assert_eq!(hooks.trace_digest, classic.trace_digest, "{policy:?}");
-        assert_eq!(
-            hooks.flows[0].delivered, classic.flows[0].delivered,
-            "{policy:?}"
-        );
-        assert_eq!(
-            hooks.flows[0].dropped, classic.flows[0].dropped,
-            "{policy:?}"
-        );
-        assert_eq!(
-            hooks.total_wasted_drops, classic.total_wasted_drops,
-            "{policy:?}"
-        );
-        for (h, c) in hooks.nfs.iter().zip(classic.nfs.iter()) {
-            assert_eq!(h.processed, c.processed, "{policy:?} {}", h.name);
-            assert_eq!(h.cswch_per_sec, c.cswch_per_sec, "{policy:?} {}", h.name);
-            assert_eq!(
-                h.nvcswch_per_sec, c.nvcswch_per_sec,
-                "{policy:?} {}",
-                h.name
-            );
-            assert_eq!(h.cpu_time, c.cpu_time, "{policy:?} {}", h.name);
-        }
-        for (h, c) in hooks.chains.iter().zip(classic.chains.iter()) {
-            assert_eq!(h.latency_p99, c.latency_p99, "{policy:?}");
-        }
-    }
-}
-
-#[test]
-fn flow_backends_produce_identical_runs() {
-    // The flow-table index seam must be invisible: the sharded engine and
-    // the flat oracle must mint the same flow ids, learn wildcard flows
-    // and evict idle ones in the same order — hence the same trace
-    // digest, report and metrics document — on a run that exercises
-    // pinned flows, a tuple sweep through a wildcard rule, and aging.
-    use nfv_pkt::{FlowAging, FlowTableKind, TuplePattern};
-    use nfv_traffic::SweepSource;
-    let run = |kind: FlowTableKind| {
-        let mut cfg = base_cfg(1, Policy::CfsBatch, NfvniceConfig::full());
-        cfg.platform.flow_table = kind;
-        cfg.platform.flow_aging = FlowAging {
-            idle_epochs: 2,
-            epoch_ticks: 4,
-        };
-        cfg.obs.metrics = true;
-        let mut sim = Simulation::new(cfg);
+    let edf = Policy::Edf {
+        period: Duration::from_millis(1),
+    };
+    // Per policy: trace digest and flow (delivered, dropped).
+    let runs = [
+        (Policy::CfsNormal, 0x7346_180e_fde7_f490, (4_905, 0)),
+        (Policy::CfsBatch, 0x38d6_50ba_75cf_45ef, (4_905, 0)),
+        (Policy::rr_1ms(), 0x7872_2e7d_f4f5_e030, (4_896, 2_034)),
+        (Policy::Cooperative, 0xe036_28cb_f037_b0b9, (4_896, 0)),
+        // A uniform period makes deadline order equal wake order and no
+        // waker preempts, so EDF replays Cooperative exactly.
+        (edf, 0xe036_28cb_f037_b0b9, (4_896, 0)),
+        (Policy::Slo, 0xbc68_5a8d_ad2c_23b1, (4_904, 2_255)),
+    ];
+    // Per policy, per NF: (processed, cswch/s, nvcswch/s, cpu_time ns).
+    let nfs: [[(u64, f64, f64, u64); 2]; 6] = [
+        [
+            (17_828, 580.0, 20.0, 822_885),
+            (4_905, 60.0, 700.0, 49_050_000),
+        ],
+        [
+            (16_167, 160.0, 20.0, 746_212),
+            (4_905, 60.0, 280.0, 49_050_000),
+        ],
+        [
+            (17_749, 740.0, 0.0, 819_243),
+            (4_896, 40.0, 680.0, 48_960_000),
+        ],
+        [
+            (17_354, 120.0, 0.0, 800_998),
+            (4_896, 100.0, 0.0, 48_960_000),
+        ],
+        [
+            (17_354, 120.0, 0.0, 800_998),
+            (4_896, 100.0, 0.0, 48_960_000),
+        ],
+        [
+            (17_544, 340.0, 0.0, 809_772),
+            (4_904, 60.0, 280.0, 49_040_000),
+        ],
+    ];
+    for ((policy, digest, flow), nfs) in runs.into_iter().zip(nfs) {
+        let mut sim = Simulation::new(base_cfg(1, policy, NfvniceConfig::full()));
         let a = sim.add_nf(NfSpec::new("light", 0, 120));
         let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
         let chain = sim.add_chain(&[a, b]);
-        sim.add_udp_with(chain, 200_000.0, 64, |f| f.poisson());
-        sim.add_wildcard(TuplePattern::any(), chain, 0);
-        // A flash crowd of 4096 brand-new flows mid-run: learned through
-        // the wildcard, idle afterwards, evicted by aging before the end.
-        sim.add_sweep(SweepSource::flash(
-            1 << 20,
-            4096,
-            64,
-            2_000_000.0,
-            SimTime::from_millis(5),
-            Duration::from_millis(3),
-        ));
-        let r = sim.run(Duration::from_millis(40));
-        sim.sanitizer.assert_clean();
-        assert!(invariants::packets_conserved(&sim.platform));
-        let metrics = sim.take_metrics().to_json();
-        (r, metrics)
-    };
-    let (sharded, sharded_metrics) = run(FlowTableKind::Sharded);
-    let (flat, flat_metrics) = run(FlowTableKind::Flat);
-    assert!(sharded.flows_evicted > 0, "aging never fired");
-    assert_eq!(sharded.trace_digest, flat.trace_digest);
-    assert_eq!(sharded.flows_active, flat.flows_active);
-    assert_eq!(sharded.flows_evicted, flat.flows_evicted);
-    assert_eq!(sharded.flows.len(), flat.flows.len());
-    for (s, f) in sharded.flows.iter().zip(flat.flows.iter()) {
-        assert_eq!(s.delivered, f.delivered, "flow {:?}", s.flow);
-        assert_eq!(s.dropped, f.dropped, "flow {:?}", s.flow);
+        sim.set_chain_budget(chain, Duration::from_millis(2));
+        sim.add_udp_with(chain, 400_000.0, 64, |f| f.poisson());
+        let r = sim.run(Duration::from_millis(50));
+        let f = &r.flows[0];
+        assert_eq!(
+            (r.trace_digest, (f.delivered, f.dropped)),
+            (digest, flow),
+            "{policy:?}"
+        );
+        let got: Vec<(u64, f64, f64, u64)> = r
+            .nfs
+            .iter()
+            .map(|n| {
+                let cpu = n.cpu_time.as_nanos();
+                (n.processed, n.cswch_per_sec, n.nvcswch_per_sec, cpu)
+            })
+            .collect();
+        assert_eq!(got, nfs, "{policy:?}");
+        // Every policy: no wasted drops, chain p99 35.65 ms.
+        let p99 = r.chains[0].latency_p99.as_nanos();
+        assert_eq!((r.total_wasted_drops, p99), (0, 35_651_584), "{policy:?}");
     }
-    assert_eq!(sharded_metrics, flat_metrics);
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The flow table has one index, 64 shards. These literals were recorded
+/// on the single-table index and matched by the sharded one before the
+/// single table was retired: the same flow ids, wildcard learning and
+/// eviction order, hence the same digest, report and metrics document,
+/// on a run with a tuple sweep through a wildcard rule and aging.
+#[test]
+fn flow_backends_produce_identical_runs() {
+    use nfv_pkt::{FlowAging, TuplePattern};
+    use nfv_traffic::SweepSource;
+    let mut cfg = base_cfg(1, Policy::CfsBatch, NfvniceConfig::full());
+    cfg.platform.flow_aging = FlowAging {
+        idle_epochs: 2,
+        epoch_ticks: 4,
+    };
+    cfg.obs.metrics = true;
+    let mut sim = Simulation::new(cfg);
+    let a = sim.add_nf(NfSpec::new("light", 0, 120));
+    let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
+    let chain = sim.add_chain(&[a, b]);
+    sim.add_udp_with(chain, 200_000.0, 64, |f| f.poisson());
+    sim.add_wildcard(TuplePattern::any(), chain, 0);
+    // A flash crowd of 4096 brand-new flows mid-run: learned through the
+    // wildcard, idle afterwards, evicted by aging before the end.
+    sim.add_sweep(SweepSource::flash(
+        1 << 20,
+        4096,
+        64,
+        2_000_000.0,
+        SimTime::from_millis(5),
+        Duration::from_millis(3),
+    ));
+    let r = sim.run(Duration::from_millis(40));
+    sim.sanitizer.assert_clean();
+    assert!(invariants::packets_conserved(&sim.platform));
+    let metrics = sim.take_metrics().to_json();
+    assert!(r.flows_evicted > 0, "aging never fired");
+    assert_eq!(r.trace_digest, 0x0a6a_25a9_d28f_a599);
+    assert_eq!((r.flows_active, r.flows_evicted), (1, 4096));
+    // Per flow (delivered, dropped): the Poisson flow first, then 4096
+    // sweep flows of which 2669 delivered their one packet.
+    assert_eq!(r.flows.len(), 4097);
+    assert_eq!((r.flows[0].delivered, r.flows[0].dropped), (1_242, 0));
+    let delivered: u64 = r.flows.iter().map(|f| f.delivered).sum();
+    let dropped: u64 = r.flows.iter().map(|f| f.dropped).sum();
+    assert_eq!((delivered, dropped), (3_911, 0));
+    let pairs = r.flows.iter().flat_map(|f| [f.delivered, f.dropped]);
+    assert_eq!(
+        fnv1a(pairs.flat_map(u64::to_le_bytes)),
+        0x299f_a65f_909a_d852
+    );
+    assert_eq!(fnv1a(metrics.bytes()), 0x766f_a681_f30e_fe85);
 }
 
 #[test]
 fn aging_runs_are_reproducible_and_keep_metrics_clean() {
     // Aging is deterministic sim state: two identical runs with eviction
     // active must produce byte-identical metrics documents, and the
-    // backend-dependent flow-table internals (probe lengths, rehashes)
+    // layout-dependent flow-table internals (probe lengths, rehashes)
     // must never leak into them — those live in `BENCH_timings.json`.
     use nfv_pkt::{FlowAging, TuplePattern};
     use nfv_traffic::SweepSource;

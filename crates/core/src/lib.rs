@@ -67,13 +67,13 @@ pub use nfv_obs::{
     TraceEvent, TraceKind, TraceSink,
 };
 pub use nfv_pkt::{
-    ChainId, FiveTuple, FlowAging, FlowId, FlowTableKind, FlowTableStats, IpPrefix, NfId, Packet,
-    Proto, TuplePattern,
+    ChainId, FiveTuple, FlowAging, FlowId, FlowTableStats, IpPrefix, NfId, Packet, Proto,
+    TuplePattern,
 };
 pub use nfv_platform::{
     BlockReason, CostModel, IoMode, NfAction, NfIoSpec, NfSpec, PacketHandler, PlatformConfig,
 };
-pub use nfv_sched::{CfsParams, Policy, SchedBackend, SLO_DEFAULT_BUDGET};
+pub use nfv_sched::{CfsParams, Policy, SLO_DEFAULT_BUDGET};
 pub use nfv_traffic::{
     diurnal_windows, heavy_tail_flows, heavy_tail_rates, sweep_index, tenant, CbrFlow,
     CostClassGen, ParetoShape, SweepSource, TcpSource, TenantSet, TenantSpec, TENANT_SPAN,

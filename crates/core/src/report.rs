@@ -144,18 +144,18 @@ pub struct Report {
     /// the engine's discard sites.
     pub stale_pops: u64,
     /// Event-queue self-profiling counters (pushes, pops, wheel
-    /// cascades, backing-store allocations). Deterministic per backend;
-    /// surfaced in `BENCH_timings.json`, never in the metrics document.
+    /// cascades, backing-store allocations). Deterministic, but tied to
+    /// the wheel's layout, so surfaced in `BENCH_timings.json`, never in the metrics document.
     pub queue: QueueStats,
     /// Flows installed in the flow table when the run ended. Part of the
-    /// deterministic sim state (identical across index backends), so it
+    /// deterministic sim state (independent of the index layout), so it
     /// may appear in metrics output — unlike [`Report::flow`].
     pub flows_active: u64,
     /// Flows evicted by aging over the whole run (cumulative). Also
-    /// backend-identical by construction.
+    /// independent of the index layout.
     pub flows_evicted: u64,
     /// Flow-table self-profiling counters (probe lengths, rehashes,
-    /// shard shape). Backend-*dependent*, so like [`Report::queue`] they
+    /// shard count). Layout-*dependent*, so like [`Report::queue`] they
     /// go to `BENCH_timings.json` only — never into metrics or traces.
     pub flow: FlowTableStats,
     /// Per-second series.

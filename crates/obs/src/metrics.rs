@@ -124,9 +124,9 @@ impl MetricsRecorder {
 
     /// Record the flow-table column for the current tick: currently
     /// installed flows and the cumulative aged-out eviction count. Both
-    /// are deterministic sim state, identical across flow-table index
-    /// backends — the backend-dependent probe/rehash counters never
-    /// appear in the metrics document.
+    /// are deterministic sim state, independent of the flow-table index
+    /// layout — the layout-dependent probe/rehash counters never appear
+    /// in the metrics document.
     pub fn record_flows(&mut self, active: u64, evicted: u64) {
         if !self.on {
             return;

@@ -20,13 +20,12 @@
 //!   power-of-two linear-probing shards selected by the *high* bits of a
 //!   seed-free multiply-xor tuple hash (in-shard position uses the low
 //!   bits). Growth rehashes one shard at a time, so the amortized rehash
-//!   spike is 1/64th of a monolithic table's. The pre-shard flat table
-//!   survives as a test oracle, selected per table via
-//!   [`FlowTable::with_kind`] / [`FlowTableKind`]. Ids, classification
-//!   results and eviction order are byte-identical across backends
-//!   (`tests/props.rs` and the engine's `flow_backends_produce_identical_runs`);
-//!   only internal probe/rehash counters differ, and those go to
-//!   `BENCH_timings.json` only.
+//!   spike is 1/64th of a monolithic table's. This is the only index:
+//!   ids, classification results and eviction order are pinned by the
+//!   `BTreeMap` model in `tests/props.rs` and by the engine's
+//!   `flow_backends_produce_identical_runs`. Probe/rehash counters
+//!   depend on the index layout, so they go to `BENCH_timings.json`
+//!   only.
 //! - **Deterministic aging.** Every entry carries an epoch-granular
 //!   `last_seen` stamp. [`FlowTable::age`] advances the epoch and scans in
 //!   flow-id order, evicting wildcard-learned entries idle for more than
@@ -55,27 +54,18 @@ pub struct FlowEntry {
     pub bytes: u64,
 }
 
-/// Exact-match index backend selector (mirrors `SchedBackend`): the
-/// sharded engine is the default, the flat single-table survives as a
-/// test oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Compatibility name for `simbench/benches/layers.rs` l.222; offers no choice.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum FlowTableKind {
     /// Sharded open addressing: 64 shards by tuple-hash high bits.
     Sharded,
-    /// One monolithic open-addressing table (the pre-shard engine).
-    Flat,
 }
 
 impl FlowTableKind {
-    /// The default backend: `Sharded`.
+    /// Compatibility name for `simbench/benches/layers.rs` l.222: `Sharded`.
     pub fn default_kind() -> Self {
         FlowTableKind::Sharded
-    }
-}
-
-impl Default for FlowTableKind {
-    fn default() -> Self {
-        Self::default_kind()
     }
 }
 
@@ -109,7 +99,7 @@ impl Default for FlowAging {
 }
 
 /// Internal flow-table counters. Probe/rehash numbers depend on the
-/// index backend, so — like `QueueStats` — they are reported only through
+/// index layout, so — like `QueueStats` — they are reported only through
 /// `BENCH_timings.json`-style channels, never metrics or trace output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowTableStats {
@@ -192,6 +182,12 @@ fn tuple_hash(t: &FiveTuple) -> u64 {
 
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
+
+/// The shard holding hash `h`: its top `SHARD_BITS` bits.
+#[inline]
+fn shard_of(h: u64) -> usize {
+    (h >> (64 - SHARD_BITS)) as usize
+}
 
 /// One open-addressing region: power-of-two slot array, linear probing,
 /// grown at 1/2 occupancy to keep probes short. `0` is empty, else
@@ -301,60 +297,10 @@ impl Shard {
     }
 }
 
-/// The exact-match index: one shard (flat oracle) or 64 (sharded engine).
-#[derive(Debug)]
-enum Index {
-    Flat(Shard),
-    Sharded(Vec<Shard>),
-}
-
-impl Index {
-    fn with_kind(kind: FlowTableKind) -> Self {
-        match kind {
-            FlowTableKind::Flat => Index::Flat(Shard::default()),
-            FlowTableKind::Sharded => {
-                let mut shards = Vec::with_capacity(SHARDS);
-                shards.resize_with(SHARDS, Shard::default);
-                Index::Sharded(shards)
-            }
-        }
-    }
-
-    #[inline]
-    fn shard(&self, h: u64) -> &Shard {
-        match self {
-            Index::Flat(s) => s,
-            Index::Sharded(v) => &v[(h >> (64 - SHARD_BITS)) as usize],
-        }
-    }
-
-    #[inline]
-    fn shard_mut(&mut self, h: u64) -> &mut Shard {
-        match self {
-            Index::Flat(s) => s,
-            Index::Sharded(v) => &mut v[(h >> (64 - SHARD_BITS)) as usize],
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            Index::Flat(_) => 1,
-            Index::Sharded(v) => v.len(),
-        }
-    }
-
-    fn slot_count(&self) -> usize {
-        match self {
-            Index::Flat(s) => s.slots.len(),
-            Index::Sharded(v) => v.iter().map(|s| s.slots.len()).sum(),
-        }
-    }
-}
-
 /// 5-tuple flow table: exact-match entries backed by prioritized wildcard
 /// rules. See the module docs for the engine layout; all ordered views
 /// (iteration, the eviction scan) go through flow-id order, never the
-/// index, so external behavior is identical across index backends.
+/// index, so external behavior does not depend on the index layout.
 #[derive(Debug)]
 pub struct FlowTable {
     /// Tuple keys by flow id (probed on lookup).
@@ -379,8 +325,8 @@ pub struct FlowTable {
     /// Bytes classified to since-evicted flows.
     forgotten_bytes: u64,
     wildcards: Vec<WildcardRule>,
-    index: Index,
-    kind: FlowTableKind,
+    /// The exact-match index: `SHARDS` shards by tuple-hash high bits.
+    index: Vec<Shard>,
     stats: FlowTableStats,
     /// Last flow id classified: traffic sources emit per-flow bursts, so
     /// consecutive classify calls usually repeat a tuple — an inline key
@@ -397,18 +343,13 @@ pub struct FlowTable {
 
 impl Default for FlowTable {
     fn default() -> Self {
-        Self::with_kind(FlowTableKind::default_kind())
+        Self::new()
     }
 }
 
 impl FlowTable {
-    /// An empty table on the build-default backend.
+    /// An empty table.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty table on an explicit index backend.
-    pub fn with_kind(kind: FlowTableKind) -> Self {
         FlowTable {
             keys: Vec::new(),
             hot: Vec::new(),
@@ -420,8 +361,7 @@ impl FlowTable {
             forgotten_packets: 0,
             forgotten_bytes: 0,
             wildcards: Vec::new(),
-            index: Index::with_kind(kind),
-            kind,
+            index: (0..SHARDS).map(|_| Shard::default()).collect(),
             stats: FlowTableStats::default(),
             memo: NO_MEMO,
             // Placeholder: never read while the memo is disarmed.
@@ -429,9 +369,10 @@ impl FlowTable {
         }
     }
 
-    /// The index backend this table runs on.
-    pub fn kind(&self) -> FlowTableKind {
-        self.kind
+    /// Compatibility name for `simbench/benches/layers.rs` l.222; calls [`FlowTable::new`].
+    #[doc(hidden)]
+    pub fn with_kind(_kind: FlowTableKind) -> Self {
+        Self::new()
     }
 
     #[inline]
@@ -454,7 +395,7 @@ impl FlowTable {
     /// the wildcard cache path (stamped with the current epoch).
     fn intern(&mut self, tuple: FiveTuple, chain: ChainId, stamp: u32) -> FlowId {
         let h = tuple_hash(&tuple);
-        let (found, steps) = self.index.shard(h).get(h, &tuple, &self.keys);
+        let (found, steps) = self.index[shard_of(h)].get(h, &tuple, &self.keys);
         self.note_probe(steps);
         if let Some(f) = found {
             let hs = &mut self.hot[f as usize];
@@ -493,7 +434,7 @@ impl FlowTable {
                 id
             }
         };
-        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, &self.keys);
+        let (rehashes, steps) = self.index[shard_of(h)].insert(h, id, &self.keys);
         self.stats.rehashes += rehashes;
         self.note_probe(steps);
         self.live += 1;
@@ -550,7 +491,7 @@ impl FlowTable {
             return Some((FlowId(m), chain));
         }
         let h = tuple_hash(tuple);
-        let (found, steps) = self.index.shard(h).get(h, tuple, &self.keys);
+        let (found, steps) = self.index[shard_of(h)].get(h, tuple, &self.keys);
         self.note_probe(steps);
         if let Some(f) = found {
             self.memo = f;
@@ -617,8 +558,8 @@ impl FlowTable {
     /// Advance the aging epoch and evict wildcard-learned entries idle
     /// for more than `idle_epochs` completed epochs, appending their ids
     /// (ascending) to `evicted`. Pinned entries always survive. The scan
-    /// runs in flow-id order, so eviction (and therefore id recycling) is
-    /// identical across index backends. No-op when `idle_epochs == 0`.
+    /// runs in flow-id order, so eviction (and therefore id recycling)
+    /// does not depend on the index layout. No-op when `idle_epochs == 0`.
     pub fn age(&mut self, idle_epochs: u32, evicted: &mut Vec<FlowId>) {
         if idle_epochs == 0 {
             return;
@@ -633,7 +574,7 @@ impl FlowTable {
             }
             let tuple = self.keys[id as usize];
             let h = tuple_hash(&tuple);
-            self.index.shard_mut(h).remove(h, &tuple, &self.keys);
+            self.index[shard_of(h)].remove(h, &tuple, &self.keys);
             self.hot[id as usize].last_seen = DEAD;
             // An evicted slot keeps its key; disarm a memo naming it so
             // the next classify goes through the index (which no longer
@@ -680,7 +621,7 @@ impl FlowTable {
     #[inline]
     pub fn get(&self, tuple: &FiveTuple) -> Option<FlowEntry> {
         let h = tuple_hash(tuple);
-        let (found, _) = self.index.shard(h).get(h, tuple, &self.keys);
+        let (found, _) = self.index[shard_of(h)].get(h, tuple, &self.keys);
         found.map(|f| self.entry_of(f))
     }
 
@@ -725,11 +666,11 @@ impl FlowTable {
     }
 
     /// Internal counters snapshot (occupancy fields filled on demand).
-    /// Backend-dependent — report via `BENCH_timings.json` only.
+    /// Layout-dependent — report via `BENCH_timings.json` only.
     pub fn stats(&self) -> FlowTableStats {
         let mut s = self.stats;
-        s.shards = self.index.shard_count() as u64;
-        s.slots = self.index.slot_count() as u64;
+        s.shards = self.index.len() as u64;
+        s.slots = self.index.iter().map(|s| s.slots.len() as u64).sum();
         s.live = self.live as u64;
         s.pinned = self.hot.iter().filter(|h| h.last_seen == PINNED).count() as u64;
         s
@@ -853,9 +794,9 @@ mod tests {
         assert_eq!(ft.classify(&tcp, 64).unwrap().1, ChainId(3));
     }
 
-    fn aging_table(kind: FlowTableKind) -> FlowTable {
+    fn aging_table() -> FlowTable {
         use crate::pattern::{IpPrefix, TuplePattern};
-        let mut ft = FlowTable::with_kind(kind);
+        let mut ft = FlowTable::new();
         ft.install_wildcard(
             TuplePattern::any().from_src(IpPrefix::new(0x0a000000, 8)),
             ChainId(0),
@@ -866,7 +807,7 @@ mod tests {
 
     #[test]
     fn aging_evicts_idle_learned_flows_and_recycles_ids() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let a = FiveTuple::synthetic(1, Proto::Udp);
         let b = FiveTuple::synthetic(2, Proto::Udp);
         let (fa, _) = ft.classify(&a, 100).unwrap();
@@ -895,7 +836,7 @@ mod tests {
 
     #[test]
     fn pinned_and_recently_seen_flows_survive_aging() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let pinned = FiveTuple::synthetic(1, Proto::Udp);
         let warm = FiveTuple::synthetic(2, Proto::Udp);
         let idle = FiveTuple::synthetic(3, Proto::Udp);
@@ -915,7 +856,7 @@ mod tests {
 
     #[test]
     fn explicit_install_pins_a_learned_flow() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let t = FiveTuple::synthetic(1, Proto::Udp);
         let (f, _) = ft.classify(&t, 64).unwrap();
         ft.install(t, ChainId(7)); // promote to pinned, keep id
@@ -929,34 +870,8 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_under_install_classify_evict_churn() {
-        let mut sharded = aging_table(FlowTableKind::Sharded);
-        let mut flat = aging_table(FlowTableKind::Flat);
-        for round in 0..6u32 {
-            for n in 0..200u32 {
-                let t = FiveTuple::synthetic(round * 97 + n, Proto::Udp);
-                let a = sharded.classify(&t, 64);
-                let b = flat.classify(&t, 64);
-                assert_eq!(a, b);
-            }
-            let (mut ev_s, mut ev_f) = (Vec::new(), Vec::new());
-            sharded.age(1, &mut ev_s);
-            flat.age(1, &mut ev_f);
-            assert_eq!(ev_s, ev_f, "eviction order identical across backends");
-            assert_eq!(sharded.len(), flat.len());
-            assert_eq!(sharded.id_space(), flat.id_space());
-        }
-        assert_eq!(
-            sharded.stats().evicted,
-            flat.stats().evicted,
-            "same churn totals"
-        );
-        assert!(sharded.stats().shards == SHARDS as u64 && flat.stats().shards == 1);
-    }
-
-    #[test]
     fn memo_repeats_hit_without_probing_and_never_resurrects_evicted() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let t = FiveTuple::synthetic(1, Proto::Udp);
         let (f, c) = ft.classify(&t, 64).unwrap();
         let probes_before = ft.stats().probe_steps;
@@ -987,8 +902,8 @@ mod tests {
 
     #[test]
     fn classify_run_folds_repeats_into_memo_hits() {
-        let mut run = aging_table(FlowTableKind::default_kind());
-        let mut each = aging_table(FlowTableKind::default_kind());
+        let mut run = aging_table();
+        let mut each = aging_table();
         let t = FiveTuple::synthetic(1, Proto::Udp);
         // Learn the flow and arm the memo, then evict it under the memo:
         // the run's first frame must re-learn through the wildcard.
@@ -1023,12 +938,13 @@ mod tests {
 
     #[test]
     fn probe_lengths_stay_bounded_at_scale() {
-        let mut ft = FlowTable::with_kind(FlowTableKind::Sharded);
+        let mut ft = FlowTable::new();
         for n in 0..100_000u32 {
             ft.install(FiveTuple::synthetic(n, Proto::Udp), ChainId(0));
         }
         let s = ft.stats();
         assert_eq!(s.live, 100_000);
+        assert_eq!(s.shards, SHARDS as u64);
         assert!(
             s.max_probe <= 64,
             "probe length {} exploded at 100k flows",

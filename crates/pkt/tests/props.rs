@@ -1,7 +1,7 @@
 //! Property-based tests for rings, mempool and flow table.
 
 use nfv_des::SimTime;
-use nfv_pkt::{ChainId, FlowId, FlowTableKind, TuplePattern};
+use nfv_pkt::{ChainId, FlowId, TuplePattern};
 use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PktId, Proto, Ring};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -232,73 +232,59 @@ proptest! {
     }
 
     /// Interleaved install / install_wildcard / classify / eviction churn:
-    /// the sharded engine, the flat-table oracle and a BTreeMap model all
-    /// agree on classification results, flow ids, counters, eviction order
-    /// and the conservation accumulator at every step.
+    /// the flow table and a BTreeMap model agree on classification
+    /// results, flow ids, counters, eviction order, id space and the
+    /// conservation accumulator at every step.
     #[test]
     fn flow_table_backends_match_model_under_churn(
         script in prop::collection::vec(ft_op(), 1..400),
     ) {
-        let mut sharded = FlowTable::with_kind(FlowTableKind::Sharded);
-        let mut flat = FlowTable::with_kind(FlowTableKind::Flat);
+        let mut ft = FlowTable::new();
         let mut model = ModelTable::default();
-        let mut scratch_s = Vec::new();
-        let mut scratch_f = Vec::new();
+        let mut scratch = Vec::new();
         for op in script {
             match op {
                 FtOp::Install { n, chain } => {
                     let t = FiveTuple::synthetic(n as u32, Proto::Udp);
                     let c = ChainId(chain as u32);
-                    let fs = sharded.install(t, c);
-                    let ff = flat.install(t, c);
+                    let f = ft.install(t, c);
                     let fm = model.install(n, c);
-                    prop_assert_eq!(fs, ff);
-                    prop_assert_eq!(fs, FlowId(fm));
+                    prop_assert_eq!(f, FlowId(fm));
                 }
                 FtOp::InstallWildcard { chain, priority } => {
                     let c = ChainId(chain as u32);
-                    sharded.install_wildcard(TuplePattern::any(), c, priority);
-                    flat.install_wildcard(TuplePattern::any(), c, priority);
+                    ft.install_wildcard(TuplePattern::any(), c, priority);
                     model.install_wildcard(c, priority);
                 }
                 FtOp::Classify { n } => {
                     let t = FiveTuple::synthetic(n as u32, Proto::Udp);
-                    let rs = sharded.classify(&t, 64);
-                    let rf = flat.classify(&t, 64);
+                    let r = ft.classify(&t, 64);
                     let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
-                    prop_assert_eq!(rs, rf);
-                    prop_assert_eq!(rs, rm);
+                    prop_assert_eq!(r, rm);
                 }
                 FtOp::ClassifyRun { n, len } => {
                     let t = FiveTuple::synthetic(n as u32, Proto::Udp);
-                    let rs = sharded.classify_run(&t, len, 64 * len as u64);
+                    let r = ft.classify_run(&t, len, 64 * len as u64);
                     for _ in 0..len {
-                        let rf = flat.classify(&t, 64);
                         let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
-                        prop_assert_eq!(rs, rf);
-                        prop_assert_eq!(rs, rm);
+                        prop_assert_eq!(r, rm);
                     }
                 }
                 FtOp::Age { idle_epochs } => {
-                    scratch_s.clear();
-                    scratch_f.clear();
-                    sharded.age(idle_epochs, &mut scratch_s);
-                    flat.age(idle_epochs, &mut scratch_f);
+                    scratch.clear();
+                    ft.age(idle_epochs, &mut scratch);
                     let em: Vec<FlowId> =
                         model.age(idle_epochs).into_iter().map(FlowId).collect();
-                    prop_assert_eq!(&scratch_s, &scratch_f);
-                    prop_assert_eq!(&scratch_s, &em);
+                    prop_assert_eq!(&scratch, &em);
                 }
             }
-            prop_assert_eq!(sharded.len(), model.live.len());
-            prop_assert_eq!(flat.len(), model.live.len());
+            prop_assert_eq!(ft.len(), model.live.len());
+            prop_assert_eq!(ft.id_space(), model.next_id as usize);
         }
         // Terminal state: every tuple's counters and chain agree.
         for n in 0u16..48 {
             let t = FiveTuple::synthetic(n as u32, Proto::Udp);
-            let es = sharded.get(&t);
-            prop_assert_eq!(es, flat.get(&t));
-            match (es, model.live.get(&n)) {
+            match (ft.get(&t), model.live.get(&n)) {
                 (Some(e), Some(m)) => {
                     prop_assert_eq!(e.flow, FlowId(m.id));
                     prop_assert_eq!(e.chain, m.chain);
@@ -308,14 +294,11 @@ proptest! {
                 (e, _) => prop_assert!(false, "presence mismatch for tuple {}: {:?}", n, e),
             }
         }
-        prop_assert_eq!(sharded.forgotten_packets(), model.forgotten_packets);
-        prop_assert_eq!(flat.forgotten_packets(), model.forgotten_packets);
-        prop_assert_eq!(sharded.id_space(), flat.id_space());
+        prop_assert_eq!(ft.forgotten_packets(), model.forgotten_packets);
         // The running lifetime total must equal live counters + forgotten
         // (the O(1) conservation-ledger invariant).
-        let live_sum: u64 = sharded.entries().map(|e| e.packets).sum();
-        prop_assert_eq!(sharded.classified_packets(), live_sum + model.forgotten_packets);
-        prop_assert_eq!(flat.classified_packets(), sharded.classified_packets());
+        let live_sum: u64 = ft.entries().map(|e| e.packets).sum();
+        prop_assert_eq!(ft.classified_packets(), live_sum + model.forgotten_packets);
     }
 
     /// `classify_run(t, len, bytes)` on one table and `len` back-to-back

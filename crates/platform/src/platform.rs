@@ -17,8 +17,8 @@ use nfv_des::{CpuFreq, Duration, SimTime};
 use nfv_io::{StorageDevice, WriteOutcome};
 use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
 use nfv_pkt::{
-    ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, FlowTableKind, Mempool, NfId, Nic, Packet,
-    Proto, TuplePattern, WireFrame,
+    ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, Mempool, NfId, Nic, Packet, Proto,
+    TuplePattern, WireFrame,
 };
 use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy, SchedBackend};
 use std::collections::BTreeSet;
@@ -49,8 +49,8 @@ pub struct PlatformConfig {
     pub nf_cores: usize,
     /// Kernel scheduling policy for NF tasks.
     pub policy: Policy,
-    /// Which scheduler implementation drives the run (hook-based driver
-    /// or the classic monolithic oracle — byte-identical by contract).
+    /// Compatibility name for `simbench/benches/layers.rs` l.428; offers no choice.
+    #[doc(hidden)]
     pub sched_backend: SchedBackend,
     /// CFS tunables (ignored by RR).
     pub cfs: CfsParams,
@@ -64,9 +64,6 @@ pub struct PlatformConfig {
     pub nic_rx_capacity: usize,
     /// `libnf` batch size (the paper processes ≤ 32 packets per batch).
     pub batch_size: usize,
-    /// Flow-table index backend (sharded engine or the flat oracle —
-    /// byte-identical by contract, like `sched_backend`).
-    pub flow_table: FlowTableKind,
     /// Flow aging/eviction policy (off by default: `idle_epochs == 0`
     /// keeps default runs byte-identical to the pre-aging engine).
     pub flow_aging: FlowAging,
@@ -80,14 +77,13 @@ impl Default for PlatformConfig {
         PlatformConfig {
             nf_cores: 1,
             policy: Policy::CfsNormal,
-            sched_backend: SchedBackend::default_backend(),
+            sched_backend: SchedBackend::Hooks,
             cfs: CfsParams::default(),
             cs_cost: Duration::from_nanos(1_500),
             freq: CpuFreq::PAPER_DEFAULT,
             mempool_capacity: 524_288,
             nic_rx_capacity: Nic::DEFAULT_RX_CAPACITY,
             batch_size: 32,
-            flow_table: FlowTableKind::default_kind(),
             flow_aging: FlowAging::default(),
             flow_detail: true,
         }
@@ -186,17 +182,11 @@ pub struct Platform {
 impl Platform {
     /// Build an empty platform.
     pub fn new(cfg: PlatformConfig) -> Self {
-        let sched = OsScheduler::with_backend(
-            cfg.nf_cores,
-            cfg.policy,
-            cfg.cfs,
-            cfg.cs_cost,
-            cfg.sched_backend,
-        );
+        let sched = OsScheduler::new(cfg.nf_cores, cfg.policy, cfg.cfs, cfg.cs_cost);
         Platform {
             mempool: Mempool::new(cfg.mempool_capacity),
             nic: Nic::new(cfg.nic_rx_capacity),
-            flow_table: FlowTable::with_kind(cfg.flow_table),
+            flow_table: FlowTable::new(),
             chains: ChainRegistry::new(),
             nfs: Vec::new(),
             sched,

@@ -3,10 +3,8 @@
 //!
 //! [`KernelCtx`] deliberately contains no policy decisions — which task
 //! runs next, how long its slice is, whether a wakeup preempts — those
-//! live behind the [`Scheduler`](crate::hooks::Scheduler) hooks (or, for
-//! the test oracle, inline in
-//! [`ClassicScheduler`](crate::classic::ClassicScheduler)). What it does
-//! own is everything both backends must do identically: state
+//! live behind the [`Scheduler`](crate::hooks::Scheduler) hooks. What it
+//! does own is everything every policy does identically: state
 //! transitions, context-switch cost and trace records, switch counters,
 //! CPU-time and scheduling-latency accounting.
 
@@ -119,8 +117,8 @@ impl KernelCtx {
     /// `sched_setaffinity` style). The task re-enters competition at the
     /// destination's current min_vruntime — the same placement a freshly
     /// added task gets — so it neither starves the incumbents with stale
-    /// credit nor loses its wakeup bonus. Backend-neutral mechanism: both
-    /// backends read `task.core` from this table at wake time.
+    /// credit nor loses its wakeup bonus. Wake placement reads `task.core`
+    /// from this table.
     ///
     /// # Panics
     /// Panics when `core` is out of range or the task is not blocked

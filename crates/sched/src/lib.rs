@@ -16,14 +16,13 @@
 //!
 //! Policies are implemented as sched_ext-style [`Scheduler`] hooks over a
 //! neutral [`KernelCtx`] and driven by the generic [`SchedCore`]
-//! (statically dispatched — no trait objects). The pre-trait monolithic
-//! [`ClassicScheduler`] stays compiled as a test oracle, selected per run
-//! via [`SchedBackend`] (DESIGN.md §12).
+//! (statically dispatched — no trait objects). That driver is the only
+//! implementation; seeded command scripts in `tests/` pin its behaviour
+//! and check its invariants after every command (DESIGN.md §12).
 
 #![warn(missing_docs)]
 
 pub mod cgroup;
-pub mod classic;
 pub mod hooks;
 pub mod kernel;
 pub mod params;
@@ -32,7 +31,6 @@ pub mod scheduler;
 pub mod task;
 
 pub use cgroup::CgroupCpu;
-pub use classic::ClassicScheduler;
 pub use hooks::{
     CfsSched, CoopSched, EdfSched, EnqueueFlags, PolicyDispatch, RrSched, SchedCore, Scheduler,
 };

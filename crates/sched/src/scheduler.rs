@@ -18,115 +18,53 @@
 //!   the next segment boundary, a few microseconds later, just as a real
 //!   kernel preempts at the next tick or interrupt return.
 //!
-//! Since the trait refactor (DESIGN.md §12), `OsScheduler` is a thin
-//! facade over one of two interchangeable backends selected by
-//! [`SchedBackend`]: the hook-based [`SchedCore`] driving
-//! [`PolicyDispatch`], or the pre-trait monolithic
-//! [`ClassicScheduler`](crate::classic::ClassicScheduler) kept as a
-//! test oracle. Both must produce byte-identical runs
-//! (`sched_backends_produce_identical_runs` in the engine tests).
+//! `OsScheduler` is a thin facade over the hook-based [`SchedCore`]
+//! driving [`PolicyDispatch`] (DESIGN.md §12); every call forwards
+//! straight to it.
 
-use crate::classic::ClassicScheduler;
 use crate::hooks::{PolicyDispatch, SchedCore};
-use crate::kernel::KernelCtx;
 use crate::params::{CfsParams, Policy};
 use crate::task::{SwitchKind, Task, TaskId};
 use nfv_des::{Duration, SimTime};
 use nfv_obs::TraceSink;
 
-/// Which scheduler implementation drives the run. Both produce
-/// byte-identical output for every policy; the classic monolith exists
-/// only as a test oracle for the hook seam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Compatibility name for `simbench/benches/layers.rs` l.423; offers no choice.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum SchedBackend {
-    /// The hook-based `SchedCore<PolicyDispatch>` driver (default).
+    /// The hook-based `SchedCore<PolicyDispatch>` driver.
     Hooks,
-    /// The pre-trait monolithic scheduler (test oracle).
-    Classic,
-}
-
-impl SchedBackend {
-    /// The default backend: `Hooks`.
-    pub fn default_backend() -> SchedBackend {
-        SchedBackend::Hooks
-    }
-}
-
-impl Default for SchedBackend {
-    fn default() -> Self {
-        SchedBackend::default_backend()
-    }
-}
-
-/// The two interchangeable implementations behind [`OsScheduler`].
-#[derive(Debug)]
-enum Backend {
-    Hooks(SchedCore<PolicyDispatch>),
-    Classic(ClassicScheduler),
 }
 
 /// The simulated OS scheduler for all cores of the machine.
 #[derive(Debug)]
 pub struct OsScheduler {
     policy: Policy,
-    backend: Backend,
+    core: SchedCore<PolicyDispatch>,
 }
 
 impl OsScheduler {
-    /// A scheduler for `num_cores` NF cores under `policy`, using the
-    /// build's default backend.
+    /// A scheduler for `num_cores` NF cores under `policy`.
     pub fn new(num_cores: usize, policy: Policy, cfs: CfsParams, cs_cost: Duration) -> Self {
-        Self::with_backend(num_cores, policy, cfs, cs_cost, SchedBackend::default())
+        let core = SchedCore::new(num_cores, PolicyDispatch::for_policy(policy), cfs, cs_cost);
+        OsScheduler { policy, core }
     }
 
-    /// A scheduler with an explicit backend choice (differential tests;
-    /// `PlatformConfig::sched_backend`).
+    /// Compatibility name for `simbench/benches/layers.rs` l.423; calls [`OsScheduler::new`].
+    #[doc(hidden)]
     pub fn with_backend(
         num_cores: usize,
         policy: Policy,
         cfs: CfsParams,
         cs_cost: Duration,
-        backend: SchedBackend,
+        _backend: SchedBackend,
     ) -> Self {
-        let backend = match backend {
-            SchedBackend::Hooks => Backend::Hooks(SchedCore::new(
-                num_cores,
-                PolicyDispatch::for_policy(policy),
-                cfs,
-                cs_cost,
-            )),
-            SchedBackend::Classic => {
-                Backend::Classic(ClassicScheduler::new(num_cores, policy, cfs, cs_cost))
-            }
-        };
-        OsScheduler { policy, backend }
-    }
-
-    /// The active backend kind.
-    pub fn backend(&self) -> SchedBackend {
-        match &self.backend {
-            Backend::Hooks(_) => SchedBackend::Hooks,
-            Backend::Classic(_) => SchedBackend::Classic,
-        }
-    }
-
-    fn ctx(&self) -> &KernelCtx {
-        match &self.backend {
-            Backend::Hooks(s) => &s.ctx,
-            Backend::Classic(s) => &s.ctx,
-        }
-    }
-
-    fn ctx_mut(&mut self) -> &mut KernelCtx {
-        match &mut self.backend {
-            Backend::Hooks(s) => &mut s.ctx,
-            Backend::Classic(s) => &mut s.ctx,
-        }
+        Self::new(num_cores, policy, cfs, cs_cost)
     }
 
     /// Attach a trace sink recording paid context switches.
     pub fn set_trace(&mut self, trace: TraceSink) {
-        self.ctx_mut().trace = trace;
+        self.core.ctx.trace = trace;
     }
 
     /// The active policy.
@@ -136,39 +74,35 @@ impl OsScheduler {
 
     /// Register a new task pinned to `core`, initially blocked.
     pub fn add_task(&mut self, name: impl Into<String>, core: usize) -> TaskId {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.add_task(name, core),
-            Backend::Classic(s) => s.add_task(name, core),
-        }
+        self.core.add_task(name, core)
     }
 
     /// Immutable task access.
     pub fn task(&self, id: TaskId) -> &Task {
-        self.ctx().task(id)
+        self.core.ctx.task(id)
     }
 
     /// Number of registered tasks.
     pub fn num_tasks(&self) -> usize {
-        self.ctx().num_tasks()
+        self.core.ctx.num_tasks()
     }
 
     /// Number of cores managed.
     pub fn num_cores(&self) -> usize {
-        self.ctx().num_cores()
+        self.core.ctx.num_cores()
     }
 
     /// Update a task's scheduler weight (cgroup `cpu.shares` write).
     /// Takes effect from the next charge/dispatch; the queue position is
     /// keyed by vruntime, which is unaffected.
     pub fn set_weight(&mut self, id: TaskId, weight: u64) {
-        self.ctx_mut().set_weight(id, weight);
+        self.core.ctx.set_weight(id, weight);
     }
 
     /// Re-pin a blocked task to another core (cross-core migration). See
-    /// [`KernelCtx::rehome_task`]; identical across backends since both
-    /// consult the shared task table for wake placement.
+    /// [`KernelCtx::rehome_task`](crate::KernelCtx::rehome_task).
     pub fn rehome_task(&mut self, id: TaskId, core: usize) {
-        self.ctx_mut().rehome_task(id, core);
+        self.core.ctx.rehome_task(id, core);
     }
 
     /// Grant `id` a per-job latency budget: each wakeup's deadline
@@ -176,44 +110,41 @@ impl OsScheduler {
     /// ([`Policy::Edf`] / [`Policy::Slo`]); the engine derives these from
     /// per-chain SLO budgets at prime time, before any task first wakes.
     pub fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
-        self.ctx_mut().tasks[id.index()].rel_deadline = budget;
+        self.core.ctx.tasks[id.index()].rel_deadline = budget;
     }
 
     /// Currently running task on `core`.
     pub fn current(&self, core: usize) -> Option<TaskId> {
-        self.ctx().current(core)
+        self.core.ctx.current(core)
     }
 
     /// Runnable tasks queued (excluding the running one) on `core`.
     pub fn queued(&self, core: usize) -> usize {
-        self.ctx().queued(core)
+        self.core.ctx.queued(core)
     }
 
     /// True when `core` has neither a running task nor queued runnable
     /// work. The engine's per-core domain must be inactive exactly when
     /// its core is idle and no batch event is in flight.
     pub fn core_idle(&self, core: usize) -> bool {
-        self.ctx().core_idle(core)
+        self.core.ctx.core_idle(core)
     }
 
     /// Total busy time accumulated on `core`.
     pub fn core_busy(&self, core: usize) -> Duration {
-        self.ctx().core_busy(core)
+        self.core.ctx.core_busy(core)
     }
 
     /// Make `id` runnable (semaphore post). No-op if already runnable or
     /// running. Returns `true` if the task's core had been idle, so the
     /// caller knows to dispatch.
     pub fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.wake(id, now),
-            Backend::Classic(s) => s.wake(id, now),
-        }
+        self.core.wake(id, now)
     }
 
     /// True when `id` is blocked.
     pub fn is_blocked(&self, id: TaskId) -> bool {
-        self.ctx().is_blocked(id)
+        self.core.ctx.is_blocked(id)
     }
 
     /// Forcibly block a task that is not on the CPU (crash/park). A
@@ -222,10 +153,7 @@ impl OsScheduler {
     /// currently `Running`: the caller owns the in-flight batch and must
     /// park again at the batch boundary (via [`OsScheduler::block_current`]).
     pub fn park(&mut self, id: TaskId, now: SimTime) -> bool {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.park(id, now),
-            Backend::Classic(s) => s.park(id, now),
-        }
+        self.core.park(id, now)
     }
 
     /// Pick the next task to run on an idle `core`. Returns the task and
@@ -234,49 +162,37 @@ impl OsScheduler {
     /// # Panics
     /// Panics if the core already has a running task.
     pub fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.dispatch(core, now),
-            Backend::Classic(s) => s.dispatch(core, now),
-        }
+        self.core.dispatch(core, now)
     }
 
     /// Charge `dur` of execution to the running task on `core`.
     pub fn charge_current(&mut self, core: usize, dur: Duration) {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.charge_current(core, dur),
-            Backend::Classic(s) => s.charge_current(core, dur),
-        }
+        self.core.charge_current(core, dur)
     }
 
     /// Must the current task on `core` be descheduled at this boundary?
     /// True when its slice has expired (and a competitor is waiting) or a
     /// wakeup preemption is pending.
     pub fn need_resched(&self, core: usize, now: SimTime) -> bool {
-        self.ctx().need_resched(core, now)
+        self.core.ctx.need_resched(core, now)
     }
 
     /// The current task blocks (empty ring, backpressure yield-to-sleep,
     /// I/O wait, full TX ring). Voluntary switch.
     pub fn block_current(&mut self, core: usize, now: SimTime) -> TaskId {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.block_current(core, now),
-            Backend::Classic(s) => s.block_current(core, now),
-        }
+        self.core.block_current(core, now)
     }
 
     /// The current task leaves the CPU but stays runnable (slice expiry or
     /// cooperative yield with work remaining). `kind` selects which context
     /// switch counter it lands in.
     pub fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
-        match &mut self.backend {
-            Backend::Hooks(s) => s.requeue_current(core, now, kind),
-            Backend::Classic(s) => s.requeue_current(core, now, kind),
-        }
+        self.core.requeue_current(core, now, kind)
     }
 
     /// All registered task ids.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        (0..self.num_tasks() as u32).map(TaskId)
+        self.core.ctx.task_ids()
     }
 }
 
@@ -284,20 +200,8 @@ impl OsScheduler {
 mod tests {
     use super::*;
 
-    const BACKENDS: [SchedBackend; 2] = [SchedBackend::Hooks, SchedBackend::Classic];
-
     fn sched(policy: Policy) -> OsScheduler {
         OsScheduler::new(2, policy, CfsParams::default(), Duration::from_micros(2))
-    }
-
-    fn sched_with(policy: Policy, backend: SchedBackend) -> OsScheduler {
-        OsScheduler::with_backend(
-            2,
-            policy,
-            CfsParams::default(),
-            Duration::from_micros(2),
-            backend,
-        )
     }
 
     #[test]
@@ -461,35 +365,30 @@ mod tests {
     // sleeper's bonus is bounded to latency/2 (1.5 ms) of catch-up.
     #[test]
     fn waking_sleeper_catches_up_within_half_latency_after_solo_run() {
-        for backend in BACKENDS {
-            let mut s = sched_with(Policy::CfsNormal, backend);
-            let worker = s.add_task("worker", 0);
-            let sleeper = s.add_task("sleeper", 0);
-            let mut now = SimTime::ZERO;
-            s.wake(worker, now);
-            s.dispatch(0, now);
-            // worker accumulates 1s of vruntime in segments (the floor
-            // advances at each charge boundary, as in the real engine)
-            for _ in 0..1000 {
-                s.charge_current(0, Duration::from_millis(1));
-            }
-            now = SimTime::from_secs(1);
-            s.wake(sleeper, now);
-            s.requeue_current(0, now, SwitchKind::Involuntary);
-            let (next, _) = s.dispatch(0, now).unwrap();
-            assert_eq!(next, sleeper, "sleeper gets its wakeup bonus first");
-            // The sleeper was placed at min_vruntime − latency/2; after
-            // 1.5 ms of execution it has caught up and the worker runs
-            // again — not after a full second.
-            s.charge_current(0, Duration::from_micros(1_500));
-            now += Duration::from_micros(1_500);
-            s.requeue_current(0, now, SwitchKind::Involuntary);
-            let (back, _) = s.dispatch(0, now).unwrap();
-            assert_eq!(
-                back, worker,
-                "bonus is bounded to latency/2 of catch-up ({backend:?})"
-            );
+        let mut s = sched(Policy::CfsNormal);
+        let worker = s.add_task("worker", 0);
+        let sleeper = s.add_task("sleeper", 0);
+        let mut now = SimTime::ZERO;
+        s.wake(worker, now);
+        s.dispatch(0, now);
+        // worker accumulates 1s of vruntime in segments (the floor
+        // advances at each charge boundary, as in the real engine)
+        for _ in 0..1000 {
+            s.charge_current(0, Duration::from_millis(1));
         }
+        now = SimTime::from_secs(1);
+        s.wake(sleeper, now);
+        s.requeue_current(0, now, SwitchKind::Involuntary);
+        let (next, _) = s.dispatch(0, now).unwrap();
+        assert_eq!(next, sleeper, "sleeper gets its wakeup bonus first");
+        // The sleeper was placed at min_vruntime − latency/2; after
+        // 1.5 ms of execution it has caught up and the worker runs
+        // again — not after a full second.
+        s.charge_current(0, Duration::from_micros(1_500));
+        now += Duration::from_micros(1_500);
+        s.requeue_current(0, now, SwitchKind::Involuntary);
+        let (back, _) = s.dispatch(0, now).unwrap();
+        assert_eq!(back, worker, "bonus is bounded to latency/2 of catch-up");
     }
 
     // Regression test for the stale wakeup-preemption flag: parking the
@@ -498,37 +397,32 @@ mod tests {
     // competitor remains queued.
     #[test]
     fn park_clears_stale_wakeup_preemption() {
-        for backend in BACKENDS {
-            let mut s = sched_with(Policy::CfsNormal, backend);
-            let hog = s.add_task("hog", 0);
-            let late = s.add_task("late", 0);
-            let trigger = s.add_task("trigger", 0);
-            let mut now = SimTime::ZERO;
-            s.wake(hog, now);
-            s.wake(late, now);
-            s.dispatch(0, now); // hog runs (tie by id), late queued
-            s.charge_current(0, Duration::from_millis(1));
-            now = SimTime::from_millis(1);
-            s.requeue_current(0, now, SwitchKind::Involuntary);
-            s.dispatch(0, now); // late runs
-            s.charge_current(0, Duration::from_millis(1));
-            s.block_current(0, now);
-            s.dispatch(0, now); // hog runs again, vruntime 1 ms
-            s.charge_current(0, Duration::from_micros(200));
-            now += Duration::from_micros(200);
-            s.wake(trigger, now); // far behind: preemption trigger
-            assert!(
-                s.need_resched(0, now),
-                "trigger wakes far behind: preempt ({backend:?})"
-            );
-            s.wake(late, now); // within the 1 ms granularity: not a trigger
-            assert!(s.park(trigger, now));
-            assert!(
-                !s.need_resched(0, now),
-                "preemption trigger is gone; queued competitor does not \
-                 justify it ({backend:?})"
-            );
-        }
+        let mut s = sched(Policy::CfsNormal);
+        let hog = s.add_task("hog", 0);
+        let late = s.add_task("late", 0);
+        let trigger = s.add_task("trigger", 0);
+        let mut now = SimTime::ZERO;
+        s.wake(hog, now);
+        s.wake(late, now);
+        s.dispatch(0, now); // hog runs (tie by id), late queued
+        s.charge_current(0, Duration::from_millis(1));
+        now = SimTime::from_millis(1);
+        s.requeue_current(0, now, SwitchKind::Involuntary);
+        s.dispatch(0, now); // late runs
+        s.charge_current(0, Duration::from_millis(1));
+        s.block_current(0, now);
+        s.dispatch(0, now); // hog runs again, vruntime 1 ms
+        s.charge_current(0, Duration::from_micros(200));
+        now += Duration::from_micros(200);
+        s.wake(trigger, now); // far behind: preemption trigger
+        assert!(s.need_resched(0, now), "trigger wakes far behind: preempt");
+        s.wake(late, now); // within the 1 ms granularity: not a trigger
+        assert!(s.park(trigger, now));
+        assert!(
+            !s.need_resched(0, now),
+            "preemption trigger is gone; queued competitor does not \
+             justify it"
+        );
     }
 
     #[test]
@@ -549,38 +443,33 @@ mod tests {
 
     #[test]
     fn rehome_moves_blocked_task_and_resets_vruntime_credit() {
-        for backend in BACKENDS {
-            let mut s = sched_with(Policy::CfsNormal, backend);
-            let mover = s.add_task("mover", 0);
-            let incumbent = s.add_task("incumbent", 1);
-            let mut now = SimTime::ZERO;
-            // Build up vruntime on core 1's queue so its floor is nonzero.
-            s.wake(incumbent, now);
-            s.dispatch(1, now);
-            for _ in 0..100 {
-                s.charge_current(1, Duration::from_millis(1));
-            }
-            now = SimTime::from_millis(100);
-            // mover ran nothing: vruntime 0. Rehome to core 1 — it must be
-            // re-placed at the destination floor, not keep 100 ms of credit.
-            assert!(s.is_blocked(mover));
-            s.rehome_task(mover, 1);
-            s.wake(mover, now);
-            assert_eq!(s.queued(1), 1, "mover queued on core 1 ({backend:?})");
-            assert!(s.core_idle(0), "core 0 no longer owns it ({backend:?})");
-            s.requeue_current(1, now, SwitchKind::Involuntary);
-            s.dispatch(1, now);
-            // mover's wakeup bonus is bounded: after latency/2 of execution
-            // the incumbent runs again instead of starving for 100 ms.
-            s.charge_current(1, Duration::from_micros(1_500));
-            now += Duration::from_micros(1_500);
-            s.requeue_current(1, now, SwitchKind::Involuntary);
-            let (next, _) = s.dispatch(1, now).unwrap();
-            assert_eq!(
-                next, incumbent,
-                "migrated task carries no stale credit ({backend:?})"
-            );
+        let mut s = sched(Policy::CfsNormal);
+        let mover = s.add_task("mover", 0);
+        let incumbent = s.add_task("incumbent", 1);
+        let mut now = SimTime::ZERO;
+        // Build up vruntime on core 1's queue so its floor is nonzero.
+        s.wake(incumbent, now);
+        s.dispatch(1, now);
+        for _ in 0..100 {
+            s.charge_current(1, Duration::from_millis(1));
         }
+        now = SimTime::from_millis(100);
+        // mover ran nothing: vruntime 0. Rehome to core 1 — it must be
+        // re-placed at the destination floor, not keep 100 ms of credit.
+        assert!(s.is_blocked(mover));
+        s.rehome_task(mover, 1);
+        s.wake(mover, now);
+        assert_eq!(s.queued(1), 1, "mover queued on core 1");
+        assert!(s.core_idle(0), "core 0 no longer owns it");
+        s.requeue_current(1, now, SwitchKind::Involuntary);
+        s.dispatch(1, now);
+        // mover's wakeup bonus is bounded: after latency/2 of execution
+        // the incumbent runs again instead of starving for 100 ms.
+        s.charge_current(1, Duration::from_micros(1_500));
+        now += Duration::from_micros(1_500);
+        s.requeue_current(1, now, SwitchKind::Involuntary);
+        let (next, _) = s.dispatch(1, now).unwrap();
+        assert_eq!(next, incumbent, "migrated task carries no stale credit");
     }
 
     #[test]
@@ -594,57 +483,50 @@ mod tests {
 
     #[test]
     fn edf_runs_earliest_deadline_and_preempts_on_wakeup() {
-        for backend in BACKENDS {
-            let mut s = sched_with(
-                Policy::Edf {
-                    period: Duration::from_millis(2),
-                },
-                backend,
-            );
-            let a = s.add_task("a", 0);
-            let b = s.add_task("b", 0);
-            // a wakes at t=1ms (deadline 3ms), b at t=0 (deadline 2ms):
-            // b runs first despite waking earlier in program order.
-            s.wake(b, SimTime::ZERO);
-            s.wake(a, SimTime::from_millis(1));
-            let (first, _) = s.dispatch(0, SimTime::from_millis(1)).unwrap();
-            assert_eq!(first, b, "earliest deadline first ({backend:?})");
-            s.charge_current(0, Duration::from_millis(1));
-            s.block_current(0, SimTime::from_millis(2));
-            let (second, _) = s.dispatch(0, SimTime::from_millis(2)).unwrap();
-            assert_eq!(second, a);
-            // b wakes again at 2.5ms → deadline 4.5ms, later than a's 3ms:
-            // no preemption.
-            s.charge_current(0, Duration::from_micros(500));
-            s.wake(b, SimTime::from_micros(2_500));
-            assert!(!s.need_resched(0, SimTime::from_micros(2_500)));
-        }
+        let mut s = sched(Policy::Edf {
+            period: Duration::from_millis(2),
+        });
+        let a = s.add_task("a", 0);
+        let b = s.add_task("b", 0);
+        // a wakes at t=1ms (deadline 3ms), b at t=0 (deadline 2ms):
+        // b runs first despite waking earlier in program order.
+        s.wake(b, SimTime::ZERO);
+        s.wake(a, SimTime::from_millis(1));
+        let (first, _) = s.dispatch(0, SimTime::from_millis(1)).unwrap();
+        assert_eq!(first, b, "earliest deadline first");
+        s.charge_current(0, Duration::from_millis(1));
+        s.block_current(0, SimTime::from_millis(2));
+        let (second, _) = s.dispatch(0, SimTime::from_millis(2)).unwrap();
+        assert_eq!(second, a);
+        // b wakes again at 2.5ms → deadline 4.5ms, later than a's 3ms:
+        // no preemption.
+        s.charge_current(0, Duration::from_micros(500));
+        s.wake(b, SimTime::from_micros(2_500));
+        assert!(!s.need_resched(0, SimTime::from_micros(2_500)));
     }
 
     #[test]
     fn slo_budget_tightens_deadline() {
-        for backend in BACKENDS {
-            let mut s = sched_with(Policy::Slo, backend);
-            let tight = s.add_task("tight", 0);
-            let lax = s.add_task("lax", 0);
-            // Both default to SLO_DEFAULT_BUDGET; tighten one to 100 µs.
-            s.set_task_budget(tight, Duration::from_micros(100));
-            // lax wakes first, then tight: tight's much nearer deadline
-            // flags a preemption against the running lax.
-            s.wake(lax, SimTime::ZERO);
-            s.dispatch(0, SimTime::ZERO);
-            s.charge_current(0, Duration::from_micros(10));
-            s.wake(tight, SimTime::from_micros(10));
-            assert!(
-                s.need_resched(0, SimTime::from_micros(10)),
-                "tighter budget preempts ({backend:?})"
-            );
-            s.requeue_current(0, SimTime::from_micros(10), SwitchKind::Involuntary);
-            let (next, _) = s.dispatch(0, SimTime::from_micros(10)).unwrap();
-            assert_eq!(next, tight);
-            assert_eq!(s.task(tight).rel_deadline, Duration::from_micros(100));
-            assert_eq!(s.task(tight).deadline, 110_000);
-        }
+        let mut s = sched(Policy::Slo);
+        let tight = s.add_task("tight", 0);
+        let lax = s.add_task("lax", 0);
+        // Both default to SLO_DEFAULT_BUDGET; tighten one to 100 µs.
+        s.set_task_budget(tight, Duration::from_micros(100));
+        // lax wakes first, then tight: tight's much nearer deadline
+        // flags a preemption against the running lax.
+        s.wake(lax, SimTime::ZERO);
+        s.dispatch(0, SimTime::ZERO);
+        s.charge_current(0, Duration::from_micros(10));
+        s.wake(tight, SimTime::from_micros(10));
+        assert!(
+            s.need_resched(0, SimTime::from_micros(10)),
+            "tighter budget preempts"
+        );
+        s.requeue_current(0, SimTime::from_micros(10), SwitchKind::Involuntary);
+        let (next, _) = s.dispatch(0, SimTime::from_micros(10)).unwrap();
+        assert_eq!(next, tight);
+        assert_eq!(s.task(tight).rel_deadline, Duration::from_micros(100));
+        assert_eq!(s.task(tight).deadline, 110_000);
     }
 
     #[test]
